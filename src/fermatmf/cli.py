@@ -15,7 +15,7 @@ import sys
 
 from .field import omega_field, rationals, sextic_field
 from .poly import ParseError, parse_scalar
-from .matrix import MatrixError, determinant, format_matrix, parse_matrix, pfaffian
+from .matrix import MatrixError, determinant, format_one_line, parse_matrix, pfaffian
 from .families import CurvePoint, FamilyError, FamilyId, GammaBlock, build_six_gen
 from .equiv import EquivError, enumerate_classes, linear_reduction, scalar_equivalence
 from .moduli6 import (
@@ -141,10 +141,6 @@ def _read_matrix(field, source):
         raise _UsageError(str(err))
 
 
-def _one_line(mat):
-    return format_matrix(mat).replace("\n", " ")
-
-
 def _built_matrix(fid):
     built = fid.build()
     return built if not hasattr(built, "phi") else built.phi
@@ -266,7 +262,7 @@ def _cmd_moduli_act(args):
     except ModuliError as err:
         raise _UsageError(str(err))
     report.add(str(lam), "action_%s" % args.kind, "pass",
-               matrix=_one_line(moved))
+               matrix=format_one_line(moved))
     return report
 
 

@@ -16,8 +16,8 @@ import random
 
 from .families import FamilyId, SigmaPerm
 from .field import omega_field, special_roots
-from .matrix import (MatrixError, PolyMatrix, determinant, field_nullspace,
-                     field_rref, format_matrix)
+from .matrix import (MatrixError, PolyMatrix, determinant, expand_determinant,
+                     field_nullspace, field_rref, format_one_line)
 from .poly import Polynomial, grlex_key
 
 _LINEAR_EXPS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -112,7 +112,7 @@ class EquivalenceVerdict:
         out["method"] = self.method
         out["outcome"] = self.outcome
         if self.witness is not None:
-            out["witness"] = [_one_line(W) for W in self.witness]
+            out["witness"] = [format_one_line(W) for W in self.witness]
         return out
 
     def __repr__(self):
@@ -146,7 +146,7 @@ class ClassReport:
         reps = []
         for rep in self.representatives:
             if isinstance(rep, PolyMatrix):
-                reps.append(_one_line(rep))
+                reps.append(format_one_line(rep))
             else:
                 reps.append(str(rep))
         return {
@@ -160,10 +160,6 @@ class ClassReport:
 
     def __repr__(self):
         return "ClassReport(%s, count=%d)" % (self.catalog, self.count)
-
-
-def _one_line(M):
-    return format_matrix(M).replace("\n", " ")
 
 
 def _entry_matrix(M):
@@ -229,9 +225,6 @@ class _ParamPoly:
     def __neg__(self):
         return self._with_terms({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         table = {}
         for e1, c1 in self.terms.items():
@@ -259,28 +252,6 @@ class _ParamPoly:
             elif e in table:
                 del table[e]
         return self._with_terms(table)
-
-
-def _param_det(field, nparams, grid):
-    """Determinant of a square grid of _ParamPoly; same row expansion and
-    memoization as matrix.determinant."""
-    n = len(grid)
-    table = {0: _ParamPoly.constant(field, nparams, 1)}
-    for mask in range(1, 1 << n):
-        row = bin(mask).count("1") - 1
-        acc = _ParamPoly(field, nparams)
-        position = 0
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            a = grid[row][j]
-            if a:
-                term = a * table[mask ^ bit]
-                acc = acc + (term if (row + position) % 2 == 0 else -term)
-            position += 1
-        table[mask] = acc
-    return table[(1 << n) - 1]
 
 
 # -- the decision engine --------------------------------------------------------
@@ -353,7 +324,8 @@ def _decide_blocks(field, basis, blocks, verify):
                                         for t in range(k))] = c
                     row.append(_ParamPoly(field, k, terms))
                 grid.append(row)
-            det = _param_det(field, k, grid)
+            det = expand_determinant(grid, _ParamPoly.constant(field, k, 1),
+                                     _ParamPoly(field, k))
             if not det:
                 return EquivalenceVerdict(
                     "not_equivalent", method="determinant_polynomial",
@@ -715,7 +687,7 @@ def pairwise_distinctness(reps, budget=None, catalog=None):
         for j in range(i + 1, len(reps)):
             if reps[i] == reps[j]:
                 record = {"pair": (i, j), "method": "identical_params",
-                          "outcome": "equivalent_with_witness"}
+                          "outcome": "inconclusive"}
                 inconclusive.append((i, j))
             elif gid[i] != gid[j]:
                 record = {"pair": (i, j), "method": "reduced_shape",

@@ -11,15 +11,12 @@ source display, fixed here, and documented in ERRATA.md.
 
 from __future__ import annotations
 
-import itertools
-
 from .field import TowerError, omega_field
 from .matrix import (
     PolyMatrix,
     adjugate,
     block,
     determinant,
-    field_nullspace,
     verify_matrix_factorization,
 )
 from .poly import Polynomial, fermat_cubic, fermat_cubic3, parse_scalar
@@ -808,13 +805,6 @@ def build_six_gen(lam, gamma):
     return gamma.matrix() * x4 + alpha_block
 
 
-def _const_inverse(M):
-    det = determinant(M).constant_term()
-    if not det:
-        raise FamilyError("matrix is not invertible")
-    return adjugate(M) * det.inv()
-
-
 def transport_matrices(lam):
     """Constant matrices (U, V) with U * alpha_lam^t = alpha_dual * V, where
     the dual point reverses the coordinates of lam.
@@ -852,78 +842,6 @@ def transport_matrices(lam):
     if not determinant(U).constant_term() or not determinant(V).constant_term():
         raise FamilyError("transport matrices must be invertible")
     return U, V
-
-
-_LINEAR_EXPS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-
-
-def chart_transport(lam):
-    """A constant 6x6 block matrix U = [[0, T1], [T2, 0]] carrying the pencil
-    over the chart-[l1:1:0] point lam to the pencil over [0:b:1], b = 1/l1,
-    via Lambda -> U * Lambda * U^t.
-
-    The blocks are derived from the exact solution space of the intertwining
-    equation X * alpha_lam^t = alpha_target * Y rather than taken from fixed
-    closed forms (see ERRATA.md for why): any solution with X and Y both
-    invertible yields T2 = -X and T1 = (Y^t)^(-1), and the resulting U is
-    re-checked against the pencil identity before being returned.
-    """
-    if lam.chart != 2:
-        raise FamilyError("chart transport starts from the chart [l1:1:0]")
-    field = lam.field
-    target = CurvePoint.affine(field, 0, lam.l1.inv())
-    alpha_t = _curve_alpha_matrix(lam).transpose()
-    alpha_target = _curve_alpha_matrix(target)
-    # Unknown vector: X row-major (9) then Y row-major (9).
-    rows = []
-    for i in range(3):
-        for j in range(3):
-            for exps in _LINEAR_EXPS:
-                row = [field(0)] * 18
-                for k in range(3):
-                    row[3 * i + k] = alpha_t[k, j].coefficient(exps)
-                    row[9 + 3 * k + j] = -alpha_target[i, k].coefficient(exps)
-                rows.append(row)
-    basis = field_nullspace(rows, field, 18)
-    if not basis:
-        raise FamilyError("no intertwining transport exists")
-
-    def combination(coeffs):
-        vec = [field(0)] * 18
-        for c, bvec in zip(coeffs, basis):
-            if c:
-                vec = [w + c * v for w, v in zip(vec, bvec)]
-        return vec
-
-    tried = 0
-    for coeffs in itertools.product((0, 1, -1, 2, -2, 3), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        tried += 1
-        if tried > 5000:
-            break
-        vec = combination(coeffs)
-        X = PolyMatrix(field, [vec[0:3], vec[3:6], vec[6:9]])
-        Y = PolyMatrix(field, [vec[9:12], vec[12:15], vec[15:18]])
-        if not determinant(X).constant_term() or not determinant(Y).constant_term():
-            continue
-        T2 = -X
-        T1 = _const_inverse(Y.transpose())
-        zero3 = PolyMatrix.zeros(field, 3)
-        U = block([[zero3, T1], [T2, zero3]])
-        lam0 = build_six_gen(target, GammaBlock.zero(field))
-        source0 = _chart2_alpha_block(lam)
-        if U * source0 * U.transpose() != lam0:
-            raise FamilyError("derived transport failed the pencil identity")
-        return U
-    raise FamilyError("no invertible intertwining transport found")
-
-
-def _chart2_alpha_block(lam):
-    field = lam.field
-    alpha = _curve_alpha_matrix(lam)
-    zero3 = PolyMatrix.zeros(field, 3)
-    return block([[zero3, -alpha.transpose()], [alpha, zero3]])
 
 
 # -- the five-general-points example ---------------------------------------------

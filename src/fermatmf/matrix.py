@@ -182,13 +182,14 @@ def block(grid):
     return PolyMatrix(field, rows)
 
 
-def determinant(M):
-    """Exact determinant by expansion along rows, memoized on column subsets."""
-    if not M.is_square():
-        raise MatrixError("determinant of a non-square matrix")
-    n = M.nrows
-    one = Polynomial.one(M.field)
-    zero = Polynomial.zero(M.field)
+def expand_determinant(grid, one, zero):
+    """Exact determinant of a square grid of ring elements by expansion
+    along rows, memoized on column subsets.
+
+    The entries need only ``+``, unary ``-``, ``*`` and ``bool``; ``one``
+    and ``zero`` are the ring's identities.
+    """
+    n = len(grid)
     # D[mask] = det of the submatrix on the first popcount(mask) rows and
     # the column set encoded by mask, built up a row at a time
     table = {0: one}
@@ -201,13 +202,21 @@ def determinant(M):
             bit = 1 << j
             if not mask & bit:
                 continue
-            a = M.entries[row][j]
+            a = grid[row][j]
             if a:
                 term = a * table[mask ^ bit]
                 acc = acc + (term if (row + position) % 2 == 0 else -term)
             position += 1
         table[mask] = acc
     return table[(1 << n) - 1]
+
+
+def determinant(M):
+    """Exact determinant of a square PolyMatrix."""
+    if not M.is_square():
+        raise MatrixError("determinant of a non-square matrix")
+    return expand_determinant(M.entries, Polynomial.one(M.field),
+                              Polynomial.zero(M.field))
 
 
 def adjugate(M):
@@ -458,3 +467,8 @@ def parse_matrix(field, text):
 
 def format_matrix(M):
     return ";\n".join(", ".join(str(a) for a in row) for row in M.entries)
+
+
+def format_one_line(M):
+    """format_matrix on a single line, as the JSON reports print it."""
+    return format_matrix(M).replace("\n", " ")

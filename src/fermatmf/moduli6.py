@@ -5,12 +5,14 @@ it against x1^3 + x2^3 + x3^3 + x4^3 yields ten equations in the fifteen
 Gamma parameters.  Six are linear in the Gamma2 entries and admit printed
 closed-form solutions; the other four are the residual system.  This module
 evaluates all ten exactly, solves the linear part in both branches, samples
-certified points deterministically, applies the three group actions, and
-splits the pencil into 3x3 blocks when both skew corners vanish.
+certified points deterministically, applies the three group actions,
+carries the pencil between the two curve charts, and splits the pencil into
+3x3 blocks when both skew corners vanish.
 
-Certification is always the pair of exact identities det(Lambda) = f^2 and
-Pf(Lambda) = f; the Pfaffian sign convention is +f, and a sign-flip
-conjugation is provided for the other sheet.
+Certification is the exact identity Pf(Lambda) = f on the skew pencil; since
+Pf(M)^2 = det(M) for every skew M, it implies det(Lambda) = f^2.  The
+Pfaffian sign convention is +f, and a sign-flip conjugation is provided for
+the other sheet.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import random
 
 from .families import (
     CurvePoint,
+    FamilyError,
     GammaBlock,
     build_curve_alpha,
     build_six_gen,
@@ -182,7 +185,8 @@ class ModuliPoint:
     """A curve point together with a Gamma block, certified on construction.
 
     ``certified`` is computed, never supplied: it holds exactly when
-    det(Lambda) = f^2 and Pf(Lambda) = f for the assembled pencil.
+    Pf(Lambda) = f for the assembled pencil, and then det(Lambda) = f^2
+    follows from Pf^2 = det on skew matrices.
     """
 
     __slots__ = ("lam", "gamma", "certified")
@@ -193,7 +197,7 @@ class ModuliPoint:
             raise ModuliError("gamma and point live over different fields")
         mat = build_six_gen(lam, gamma)
         f = fermat_cubic(field)
-        certified = pfaffian(mat) == f and determinant(mat) == f * f
+        certified = pfaffian(mat) == f
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "certified", certified)
@@ -258,8 +262,7 @@ def _structured_gamma2(lam):
         if verdict.outcome != "equivalent_with_witness":
             continue
         U, V = verdict.witness
-        inverse = adjugate(V) * determinant(V).constant_term().inv()
-        lifted = U * mat * inverse
+        lifted = U * mat * _const_inverse(V)
         if determinant(lifted) != f:
             continue
         gamma2 = tuple(lifted[i, j].coefficient((0, 0, 0, 1))
@@ -335,6 +338,44 @@ def sample_moduli_point(lam, seed, budget):
     return None
 
 
+# -- transports ------------------------------------------------------------------
+
+def _const_inverse(M):
+    det = determinant(M).constant_term()
+    if not det:
+        raise ModuliError("matrix is not invertible")
+    return adjugate(M) * det.inv()
+
+
+def chart_transport(lam):
+    """A constant 6x6 block matrix U = [[0, T1], [T2, 0]] carrying the pencil
+    over the chart-[l1:1:0] point lam to the pencil over [0:b:1], b = 1/l1,
+    via Lambda -> U * Lambda * U^t.
+
+    The blocks come from a scalar_equivalence witness (X, Y) of
+    X * alpha_lam^t = alpha_target * Y rather than from fixed closed forms
+    (see ERRATA.md for why): T2 = -X and T1 = (Y^t)^(-1), and the resulting
+    U is re-checked against the pencil identity before being returned.
+    """
+    if lam.chart != 2:
+        raise FamilyError("chart transport starts from the chart [l1:1:0]")
+    field = lam.field
+    target = CurvePoint.affine(field, 0, lam.l1.inv())
+    alpha = build_curve_alpha(lam).phi
+    verdict = scalar_equivalence(alpha.transpose(),
+                                 build_curve_alpha(target).phi)
+    if verdict.outcome != "equivalent_with_witness":
+        raise FamilyError("no invertible intertwining transport found")
+    X, Y = verdict.witness
+    zero3 = PolyMatrix.zeros(field, 3)
+    U = block([[zero3, _const_inverse(Y.transpose())], [-X, zero3]])
+    source = block([[zero3, -alpha.transpose()], [alpha, zero3]])
+    if U * source * U.transpose() != build_six_gen(target,
+                                                   GammaBlock.zero(field)):
+        raise FamilyError("derived transport failed the pencil identity")
+    return U
+
+
 # -- group actions ---------------------------------------------------------------
 
 def _scaling_matrix(field, k):
@@ -369,16 +410,13 @@ def group_action(kind, lam, mat, k=None, coeffs=None):
         return U * mat * U.transpose()
     if kind == "S2":
         U, V = transport_matrices(lam)
-        vdet = determinant(V).constant_term()
-        if not vdet:
-            raise ModuliError("transport is not invertible")
         left = block([[PolyMatrix.zeros(field, 3),
                        PolyMatrix.identity(field, 3)],
                       [-U, PolyMatrix.zeros(field, 3)]])
         right = block([[PolyMatrix.identity(field, 3),
                         PolyMatrix.zeros(field, 3)],
                        [PolyMatrix.zeros(field, 3),
-                        adjugate(V) * vdet.inv()]])
+                        _const_inverse(V)]])
         return left * mat * right
     if kind == "H":
         if lam.a != field(1):
@@ -389,11 +427,8 @@ def group_action(kind, lam, mat, k=None, coeffs=None):
         if k1 * k4 - k2 * k3 != field(1):
             raise ModuliError("coeffs must satisfy K1*K4 - K2*K3 = 1")
         U, _ = transport_matrices(lam)
-        udet = determinant(U).constant_term()
-        if not udet:
-            raise ModuliError("transport is not invertible")
-        uinv = adjugate(U) * udet.inv()
-        H = block([[PolyMatrix.identity(field, 3, scale=k4), -k3 * uinv],
+        H = block([[PolyMatrix.identity(field, 3, scale=k4),
+                    -k3 * _const_inverse(U)],
                    [(-k2) * U, PolyMatrix.identity(field, 3, scale=k1)]])
         if not determinant(H).constant_term():
             raise ModuliError("the H matrix is not invertible")
@@ -407,8 +442,8 @@ def pfaffian_sign_flip(mat):
     This negates the Pfaffian while preserving skewness and the
     determinant, moving between the two sheets det = f^2, Pf = +/-f.
     """
-    if not mat.is_square or mat.nrows % 2:
-        raise ModuliError("the sign flip needs an even square matrix")
+    if not mat.is_square() or mat.nrows % 2 or not mat.is_skew():
+        raise ModuliError("the sign flip needs an even skew matrix")
     field = mat.field
     rows = []
     for i in range(mat.nrows):

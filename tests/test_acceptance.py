@@ -36,7 +36,6 @@ from fermatmf.families import (
     build_orientable_4gen,
     build_rank1_3gen,
     build_six_gen,
-    chart_transport,
     five_points_example,
     transport_matrices,
 )
@@ -52,6 +51,7 @@ from fermatmf.matrix import (
 )
 from fermatmf.moduli6 import (
     ModuliPoint,
+    chart_transport,
     decompose_if_gamma_zero,
     equation_values,
     gamma2_solve,

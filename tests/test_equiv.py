@@ -367,6 +367,8 @@ def test_duplicates_are_flagged_identical():
     methods = {tuple(e["pair"]): e["method"] for e in report.evidence}
     assert methods[(0, 2)] == "identical_params"
     assert (0, 2) in report.inconclusive
+    outcomes = {tuple(e["pair"]): e["outcome"] for e in report.evidence}
+    assert outcomes[(0, 2)] == "inconclusive"
 
 
 def test_distinct_family_members_are_separated():

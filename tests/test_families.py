@@ -19,7 +19,6 @@ from fermatmf.families import (
     build_rank1_3gen,
     build_six_gen,
     building_blocks,
-    chart_transport,
     five_points_example,
     point_forms,
     transport_matrices,
@@ -32,6 +31,7 @@ from fermatmf.matrix import (
     pfaffian,
     verify_matrix_factorization,
 )
+from fermatmf.moduli6 import chart_transport
 from fermatmf.poly import Polynomial, fermat_cubic, fermat_cubic3, parse
 
 F = omega_field()

@@ -270,6 +270,10 @@ def test_the_sign_flip_swaps_the_pfaffian_sheet():
     assert determinant(flipped) == FQ * FQ
     with pytest.raises(ModuliError):
         pfaffian_sign_flip(PolyMatrix.zeros(F, 3))
+    with pytest.raises(ModuliError):
+        pfaffian_sign_flip(PolyMatrix.zeros(F, 2, 3))
+    with pytest.raises(ModuliError):
+        pfaffian_sign_flip(PolyMatrix.identity(F, 2))
 
 
 # -- decomposition ---------------------------------------------------------------
