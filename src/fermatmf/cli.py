@@ -4,13 +4,15 @@ Every run prints one report, as text or as JSON with a versioned ``schema``
 field.  Reports are deterministic for fixed arguments and seed: checks are
 emitted in a canonical order and JSON keys are sorted.  Exit status is 0
 when no check failed (an inconclusive answer does not fail the run), 1 when
-a verification failed, and 2 for usage errors.
+a verification failed or the reader closed the output pipe early, and 2 for
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .field import omega_field, rationals, sextic_field
@@ -372,7 +374,16 @@ def main(argv=None):
     except _UsageError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    print(report.render(args.format))
+    try:
+        print(report.render(args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; point stdout at devnull so the
+        # flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return report.exit_status()
 
 

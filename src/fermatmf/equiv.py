@@ -300,9 +300,9 @@ def _decide_blocks(field, basis, blocks, verify):
     ``blocks`` lists (offset, size) of row-major square blocks inside a
     vector; ``verify`` re-checks a candidate witness exactly.  Up to
     _PARAM_LIMIT parameters the answer is symbolic (a determinant per
-    block over the parameters); beyond that, 64 seeded draws decide, and
-    an all-zero outcome is reported with its sampling method so callers
-    can tell the two kinds of "no" apart.
+    block over the parameters); beyond that, 64 seeded draws look for a
+    witness, and if all give a singular block the verdict is inconclusive
+    (sampled_determinant): a sampled "no" proves nothing.
     """
     k = len(basis)
     if k == 0:
@@ -353,7 +353,7 @@ def _decide_blocks(field, basis, blocks, verify):
             return EquivalenceVerdict("equivalent_with_witness", witness=mats,
                                       method="sampled_witness")
     return EquivalenceVerdict(
-        "not_equivalent", method="sampled_determinant",
+        "inconclusive", method="sampled_determinant",
         detail="%d-parameter solution space; %d seeded draws from "
                "[-10^6, 10^6] all gave a singular block (degree of the "
                "determinant product is at most %d)"
@@ -392,9 +392,9 @@ def scalar_equivalence(A, B):
 
     Works on any two matrices of the same shape over the same field; on
     mod-m^2 reductions the verdict is the usual notion of equivalence of
-    linear presentations.  A not_equivalent answer from the symbolic
-    path is exact; an equivalent answer always carries a re-checked
-    witness pair.
+    linear presentations.  A not_equivalent answer is exact, an equivalent
+    answer always carries a re-checked witness pair, and a failed seeded
+    search is inconclusive.
     """
     A = _entry_matrix(A)
     B = _entry_matrix(B)

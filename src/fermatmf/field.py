@@ -1,10 +1,14 @@
 """Exact arithmetic in towers of algebraic extensions of the rationals.
 
-A tower is a chain Q = K0 < K1 < ... < Kr where each step adjoins one
-generator modulo a monic defining polynomial whose coefficients live one
-level down.  An element of level k is stored as a tuple of level-(k-1)
-elements (a Fraction at the base), always fully reduced, so equal elements
-have identical nested representations.
+A tower Q(x1, ..., xr) adjoins each generator modulo a monic defining
+polynomial with rational coefficients.  An element is one flat tuple of
+``degree`` reduced Fractions over the monomials x1^i1 * ... * xr^ir, the
+first generator varying fastest, so equal elements have identical tuples.
+Each tower computes once the structure constants (the reduced product of
+any two basis monomials): multiplication is one pass over that table, and
+inversion solves one linear system over Q.  ``FieldElement.value`` is the
+nested view: a tuple over the last generator's powers of values one level
+down, a Fraction at the base.
 
 The two towers the catalog actually needs are ``omega_field()`` -- Q(w)
 with w^2 + w + 1 = 0 -- and ``sextic_field()``, which further adjoins a
@@ -17,6 +21,8 @@ than silently mis-computing.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 
 class TowerError(Exception):
@@ -42,13 +48,62 @@ def _as_fraction(x):
 
 _TOWER_CACHE = {}
 
+# Inverses are memoised per tower; the memo is emptied when it reaches this
+# many entries, so long runs keep a bounded amount of it.
+_INV_CACHE_LIMIT = 512
+
+# Every element equal to an integer in this range is one shared object per
+# tower: such constants fill the catalog matrices, and sharing them keeps
+# the memory of long runs low.
+_SHARED_INTS = range(-64, 65)
+
+
+def _reduced_powers(modulus):
+    """x^n mod ``modulus`` for n = 0 .. 2d-2, as d ascending coefficients."""
+    d = len(modulus) - 1
+    powers = [tuple(Fraction(int(i == n)) for i in range(d)) for n in range(d)]
+    for _ in range(d - 1):
+        prev = powers[-1]
+        # x * prev, with x^d replaced by -(m_0 + m_1 x + ... + m_(d-1) x^(d-1))
+        shifted = (Fraction(0),) + prev[:-1]
+        powers.append(tuple(c - prev[-1] * m for c, m in zip(shifted, modulus)))
+    return powers
+
+
+def _structure_constants(degrees, moduli):
+    """``table[a][b]`` lists the (c, t) with e_a * e_b = sum of t * e_c.
+
+    Basis index a = a1 + d1*(a2 + d2*(a3 + ...)) stands for x1^a1*x2^a2*...;
+    an integral constant is stored as an int, so +-1 is cheap to spot.
+    """
+    powers = [_reduced_powers(m) for m in moduli]
+    strides = [prod(degrees[:k]) for k in range(len(degrees))]
+    # exponent tuples in basis order: the first generator varies fastest
+    exps = [e[::-1] for e in product(*(range(d) for d in reversed(degrees)))]
+    table = []
+    for ea in exps:
+        row = []
+        for eb in exps:
+            factors = [[(stride * n, p) for n, p in enumerate(pw[i + j]) if p]
+                       for pw, stride, i, j in zip(powers, strides, ea, eb)]
+            terms = []
+            for combo in product(*factors):
+                t = prod(p for _, p in combo)
+                terms.append((sum(c for c, _ in combo),
+                              int(t) if t.denominator == 1 else t))
+            row.append(tuple(terms))
+        table.append(row)
+    return table
+
 
 class NumberField:
     """A tower of simple extensions of Q, interned by its description.
 
     ``levels`` is a tuple of (generator name, modulus) pairs where each
-    modulus is an ascending coefficient tuple over the previous level,
-    monic of degree >= 2.
+    modulus is an ascending tuple of rational coefficients, monic of
+    degree >= 2.  Elements are flat coefficient vectors with a nested
+    ``value`` view (module docstring); the structure constants are
+    computed once, when the tower is interned.
     """
 
     def __new__(cls, levels=()):
@@ -59,14 +114,14 @@ class NumberField:
         self = super().__new__(cls)
         self.levels = levels
         self.names = tuple(name for name, _ in levels)
-        self.degree = 1
-        for _, modulus in levels:
-            self.degree *= len(modulus) - 1
-        # moduli with coefficients lifted to values one level down
-        self._moduli = tuple(
-            tuple(self._lift(c, k) for c in modulus)
-            for k, (_name, modulus) in enumerate(levels))
+        self._degrees = tuple(len(modulus) - 1 for _, modulus in levels)
+        self.degree = prod(self._degrees)
+        self._zeros = (Fraction(0),) * self.degree
+        self._table = _structure_constants(
+            self._degrees, [modulus for _, modulus in levels])
         self._inv_cache = {}
+        self._ints = {n: FieldElement(self, self._lift(Fraction(n)))
+                      for n in _SHARED_INTS}
         _TOWER_CACHE[levels] = self
         return self
 
@@ -75,220 +130,152 @@ class NumberField:
             return "NumberField(Q)"
         return "NumberField(Q(%s))" % ", ".join(self.names)
 
-    # -- level-value helpers ------------------------------------------------
-    # A "value at level k" is a Fraction for k == 0 and otherwise a tuple of
-    # deg_k values at level k-1.  All helpers keep values reduced.
+    # -- flat coefficient vectors ---------------------------------------------
 
-    def _deg(self, k):
-        return len(self.levels[k - 1][1]) - 1
+    def _lift(self, q):
+        return (q,) + self._zeros[1:]
 
-    def _zero(self, k):
-        if k == 0:
-            return Fraction(0)
-        return (self._zero(k - 1),) * self._deg(k)
-
-    def _one(self, k):
-        if k == 0:
-            return Fraction(1)
-        return (self._one(k - 1),) + (self._zero(k - 1),) * (self._deg(k) - 1)
-
-    def _lift(self, q, k):
-        # embed a rational as a constant of level k
-        if k == 0:
-            return q
-        return (self._lift(q, k - 1),) + (self._zero(k - 1),) * (self._deg(k) - 1)
-
-    def _is_zero(self, v, k):
-        if k == 0:
-            return v == 0
-        return all(self._is_zero(c, k - 1) for c in v)
-
-    def _vadd(self, v, w, k):
-        if k == 0:
-            return v + w
-        return tuple(self._vadd(a, b, k - 1) for a, b in zip(v, w))
-
-    def _vneg(self, v, k):
-        if k == 0:
-            return -v
-        return tuple(self._vneg(c, k - 1) for c in v)
-
-    def _vsub(self, v, w, k):
-        return self._vadd(v, self._vneg(w, k), k)
-
-    def _vmul(self, v, w, k):
-        if k == 0:
-            return v * w
-        d = self._deg(k)
-        prod = [self._zero(k - 1)] * (2 * d - 1)
-        for i, a in enumerate(v):
-            if self._is_zero(a, k - 1):
+    def _mul(self, x, y):
+        out = list(self._zeros)
+        table = self._table
+        ys = [(b, yb) for b, yb in enumerate(y) if yb]
+        for a, xa in enumerate(x):
+            if not xa:
                 continue
-            for j, b in enumerate(w):
-                prod[i + j] = self._vadd(prod[i + j], self._vmul(a, b, k - 1), k - 1)
-        return self._vreduce(prod, k)
+            row = table[a]
+            for b, yb in ys:
+                p = xa * yb
+                for c, t in row[b]:
+                    if t == 1:
+                        out[c] += p
+                    elif t == -1:
+                        out[c] -= p
+                    else:
+                        out[c] += p * t
+        return tuple(out)
 
-    def _vreduce(self, coeffs, k):
-        # reduce an ascending coefficient list modulo the level-k modulus
-        # (monic), returning a canonical tuple of length deg_k
-        d = self._deg(k)
-        modulus = self._moduli[k - 1]
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, d - 1, -1):
-            top = coeffs[i]
-            if not self._is_zero(top, k - 1):
-                for j in range(d):
-                    coeffs[i - d + j] = self._vsub(
-                        coeffs[i - d + j], self._vmul(top, modulus[j], k - 1), k - 1)
-            del coeffs[i]
-        while len(coeffs) < d:
-            coeffs.append(self._zero(k - 1))
-        return tuple(coeffs)
-
-    def _vinv(self, v, k):
-        if k == 0:
-            if v == 0:
-                raise ZeroDivisionError("division by zero")
-            return 1 / v
-        if self._is_zero(v, k):
+    def _inverse(self, v):
+        # solve M x = e_0 where column b of M is v * e_b, by Gauss-Jordan
+        if not any(v):
             raise ZeroDivisionError("division by zero")
-        # Extended Euclid on (v, modulus) over level k-1, tracking only the
-        # cofactor of v:  old_r == old_t * v  (mod modulus)  at every step.
-        modulus = list(self._moduli[k - 1])
-        old_r, r = _ptrim(list(v), self, k - 1), modulus
-        old_t, t = [self._one(k - 1)], []
-        while r:
-            q, rem = self._pdivmod(old_r, r, k - 1)
-            old_r, r = r, rem
-            old_t, t = t, _psub(old_t, _pmul(q, t, self, k - 1), self, k - 1)
-        # old_r is the gcd; a unit iff the modulus was irreducible
-        if len(old_r) != 1:
-            raise NotInvertibleError(
-                "nonzero element is not invertible: the defining polynomial "
-                "of %r is not irreducible" % (self.levels[k - 1][0],))
-        scale = self._vinv(old_r[0], k - 1)
-        inv = [self._vmul(c, scale, k - 1) for c in old_t]
-        return self._vreduce(inv, k)
+        d, zeros = self.degree, self._zeros
+        images = [self._mul(v, zeros[:b] + (Fraction(1),) + zeros[b + 1:])
+                  for b in range(d)]
+        rows = [[image[c] for image in images] + [Fraction(int(c == 0))]
+                for c in range(d)]
+        for col in range(d):
+            pivot = next((r for r in range(col, d) if rows[r][col]), None)
+            if pivot is None:
+                raise NotInvertibleError(
+                    "nonzero element is not invertible: a defining "
+                    "polynomial of %r is not irreducible" % (self,))
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            lead = rows[col][col]
+            rows[col] = [c / lead for c in rows[col]]
+            for r in range(d):
+                factor = rows[r][col]
+                if r != col and factor:
+                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+        return tuple(row[d] for row in rows)
 
-    def _pdivmod(self, num, den, k):
-        # division of ascending coefficient lists over the level-k field
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = self._vinv(den[-1], k)
-        num = list(num)
-        q = [self._zero(k)] * max(0, len(num) - len(den) + 1)
-        while len(num) >= len(den):
-            c = self._vmul(num[-1], lead_inv, k)
-            shift = len(num) - len(den)
-            q[shift] = c
-            for i, dc in enumerate(den):
-                num[shift + i] = self._vsub(num[shift + i], self._vmul(c, dc, k), k)
-            num.pop()
-            num = _ptrim(num, self, k)
-        return q, num
+    def _element(self, coeffs):
+        q = coeffs[0]
+        if not any(coeffs[1:]) and q.denominator == 1 and q.numerator in _SHARED_INTS:
+            return self._ints[q.numerator]
+        return FieldElement(self, coeffs)
 
     # -- public construction ------------------------------------------------
 
     def zero(self):
-        return FieldElement(self, self._zero(len(self.levels)))
+        return self(0)
 
     def one(self):
-        return FieldElement(self, self._one(len(self.levels)))
+        return self(1)
 
     def gen(self, name):
         """The tower generator with the given name, as an element."""
-        for i, gen_name in enumerate(self.names):
-            if gen_name == name:
-                k = i + 1
-                v = (self._zero(k - 1), self._one(k - 1)) + \
-                    (self._zero(k - 1),) * (self._deg(k) - 2)
-                for j in range(k + 1, len(self.levels) + 1):
-                    v = (v,) + (self._zero(j - 1),) * (self._deg(j) - 1)
-                return FieldElement(self, v)
-        raise TowerError("no generator named %r in %r" % (name, self))
+        if name not in self.names:
+            raise TowerError("no generator named %r in %r" % (name, self))
+        k = self.names.index(name)
+        coeffs = list(self._zeros)
+        coeffs[prod(self._degrees[:k])] = Fraction(1)
+        return FieldElement(self, tuple(coeffs))
 
     def __call__(self, x):
         if isinstance(x, FieldElement):
             if x.field is not self:
                 raise TowerError("element of %r used in %r" % (x.field, self))
             return x
-        return FieldElement(self, self._lift(_as_fraction(x), len(self.levels)))
-
-    def coerce_value(self, x):
-        return self(x).value
+        if type(x) is int and x in _SHARED_INTS:
+            return self._ints[x]
+        return self._element(self._lift(_as_fraction(x)))
 
     def inv_value(self, v):
         cached = self._inv_cache.get(v)
         if cached is None:
-            cached = self._vinv(v, len(self.levels))
+            cached = self._inverse(v)
+            if len(self._inv_cache) >= _INV_CACHE_LIMIT:
+                self._inv_cache.clear()
             self._inv_cache[v] = cached
         return cached
 
 
-def _ptrim(coeffs, field, k):
-    while coeffs and field._is_zero(coeffs[-1], k):
-        coeffs.pop()
-    return coeffs
-
-
-def _pmul(p, q, field, k):
-    if not p or not q:
-        return []
-    out = [field._zero(k)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = field._vadd(out[i + j], field._vmul(a, b, k), k)
-    return _ptrim(out, field, k)
-
-
-def _psub(p, q, field, k):
-    n = max(len(p), len(q))
-    p = list(p) + [field._zero(k)] * (n - len(p))
-    for i, c in enumerate(q):
-        p[i] = field._vsub(p[i], c, k)
-    return _ptrim(p, field, k)
+def _nest(coeffs, degrees):
+    # the flat vector as nested tuples, the last generator outermost
+    if not degrees:
+        return coeffs[0]
+    stride = len(coeffs) // degrees[-1]
+    return tuple(_nest(coeffs[i:i + stride], degrees[:-1])
+                 for i in range(0, len(coeffs), stride))
 
 
 class FieldElement:
     """An exact element of a NumberField; immutable and canonical."""
 
-    __slots__ = ("field", "value")
+    __slots__ = ("field", "_coeffs")
 
-    def __init__(self, field, value):
+    def __init__(self, field, coeffs):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, *_):
         raise AttributeError("FieldElement is immutable")
+
+    @property
+    def value(self):
+        """The nested view: a Fraction over Q, else a tuple over the powers
+        of the last generator whose entries are values one level down."""
+        return _nest(self._coeffs, self.field._degrees)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field is not self.field:
                 raise TowerError("operands from different fields")
-            return other.value
+            return other._coeffs
         if isinstance(other, (int, Fraction)):
-            return self.field._lift(_as_fraction(other), len(self.field.levels))
+            return self.field(other)._coeffs
         return None
 
     def __add__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        k = len(self.field.levels)
-        return FieldElement(self.field, self.field._vadd(self.value, v, k))
+        # a zero summand keeps the coefficient object: no work, and zero
+        # coefficients stay shared
+        return self.field._element(tuple(
+            a + b if b else a for a, b in zip(self._coeffs, v)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = len(self.field.levels)
-        return FieldElement(self.field, self.field._vneg(self.value, k))
+        return self.field._element(tuple(-a if a else a for a in self._coeffs))
 
     def __sub__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        k = len(self.field.levels)
-        return FieldElement(self.field, self.field._vsub(self.value, v, k))
+        return self.field._element(tuple(
+            a - b if b else a for a, b in zip(self._coeffs, v)))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -297,29 +284,26 @@ class FieldElement:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        k = len(self.field.levels)
-        return FieldElement(self.field, self.field._vmul(self.value, v, k))
+        return self.field._element(self.field._mul(self._coeffs, v))
 
     __rmul__ = __mul__
 
     def inv(self):
-        return FieldElement(self.field, self.field.inv_value(self.value))
+        return self.field._element(self.field.inv_value(self._coeffs))
 
     def __truediv__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        k = len(self.field.levels)
-        return FieldElement(self.field,
-                            self.field._vmul(self.value, self.field.inv_value(v), k))
+        return self.field._element(self.field._mul(
+            self._coeffs, self.field.inv_value(v)))
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        k = len(self.field.levels)
-        return FieldElement(self.field,
-                            self.field._vmul(v, self.field.inv_value(self.value), k))
+        return self.field._element(self.field._mul(
+            v, self.field.inv_value(self._coeffs)))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -337,33 +321,25 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field is other.field and self.value == other.value
+            return self.field is other.field and self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
-            return self.value == self.field.coerce_value(other)
+            return self._coeffs[0] == other and self.is_rational()
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field), self.value))
+        return hash((id(self.field), self._coeffs))
 
     def __bool__(self):
-        return not self.field._is_zero(self.value, len(self.field.levels))
+        return any(self._coeffs)
 
     def is_rational(self):
-        v = self.value
-        for k in range(len(self.field.levels), 0, -1):
-            if any(self.field._is_zero(c, k - 1) is False for c in v[1:]):
-                return False
-            v = v[0]
-        return True
+        return not any(self._coeffs[1:])
 
     def as_rational(self):
-        v = self.value
-        for _ in range(len(self.field.levels)):
-            v = v[0]
-        return v
+        return self._coeffs[0]
 
     def __str__(self):
-        return _fmt_value(self.field, self.value, len(self.field.levels))
+        return _fmt_value(self.field, self._coeffs, len(self.field.levels))
 
     __repr__ = __str__
 
@@ -371,12 +347,14 @@ class FieldElement:
 def _fmt_value(field, v, k):
     """Render in the literal grammar: rationals, generator names, *, +, -."""
     if k == 0:
-        return str(v)
+        return str(v[0])
     name = field.names[k - 1]
+    degree = field._degrees[k - 1]
+    stride = len(v) // degree
     terms = []
-    for power in range(len(v) - 1, -1, -1):
-        c = v[power]
-        if field._is_zero(c, k - 1):
+    for power in range(degree - 1, -1, -1):
+        c = v[power * stride:(power + 1) * stride]
+        if not any(c):
             continue
         cs = _fmt_value(field, c, k - 1)
         if power == 0:

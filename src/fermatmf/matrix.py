@@ -334,7 +334,8 @@ def assemble_gorenstein_skew(d2, v):
 
 
 class MatrixFactorization:
-    """A verified pair (phi, psi) with phi*psi = psi*phi = f*Id."""
+    """A verified pair (phi, psi) with phi*psi = psi*phi = f*Id, certified
+    by the one product phi*psi (``verify_matrix_factorization``)."""
 
     __slots__ = ("phi", "psi", "f", "verified")
     ok = True
@@ -357,7 +358,8 @@ class MatrixFactorization:
 
 
 class VerificationFailure:
-    """The nonzero residual entries of phi*psi - f*Id and psi*phi - f*Id."""
+    """The nonzero residual entries of phi*psi - f*Id, the one product
+    that certifies (``verify_matrix_factorization``)."""
 
     ok = False
 
@@ -375,7 +377,12 @@ class VerificationFailure:
 
 
 def verify_matrix_factorization(phi, psi, f):
-    """Check phi*psi = psi*phi = f*Id exactly.
+    """Check phi*psi = psi*phi = f*Id exactly, by computing phi*psi alone.
+
+    For square factors and f != 0, phi*psi = f*Id gives det(phi)*det(psi)
+    = f^n != 0, so psi = f*phi^-1 over the fraction field and psi*phi =
+    f*Id follows.  f = 0 is refused, since there the implication fails
+    (phi = [[0,1],[0,0]], psi = [[1,0],[0,0]]).
 
     Returns a MatrixFactorization on success and a VerificationFailure
     listing every nonzero residual entry otherwise (failure is data, not an
@@ -385,15 +392,13 @@ def verify_matrix_factorization(phi, psi, f):
         raise MatrixError("factors must be square of equal size")
     if phi.field is not psi.field or (isinstance(f, Polynomial) and f.field is not phi.field):
         raise TowerError("factors over different fields")
+    if not f:
+        raise MatrixError("a matrix factorization of 0 is not certified by "
+                          "one product")
     n = phi.nrows
-    target = PolyMatrix.identity(phi.field, n, scale=f)
-    residuals = []
-    for tag, product in (("phi*psi", phi * psi), ("psi*phi", psi * phi)):
-        diff = product - target
-        for i in range(n):
-            for j in range(n):
-                if diff.entries[i][j]:
-                    residuals.append((tag, i, j, diff.entries[i][j]))
+    diff = phi * psi - PolyMatrix.identity(phi.field, n, scale=f)
+    residuals = [("phi*psi", i, j, diff.entries[i][j])
+                 for i in range(n) for j in range(n) if diff.entries[i][j]]
     if residuals:
         return VerificationFailure(phi, psi, f, residuals)
     return MatrixFactorization(phi, psi, f)

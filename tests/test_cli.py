@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -181,3 +182,31 @@ def test_bare_invocations_are_usage_errors(capsys):
 def test_help_exits_cleanly(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["verify", "--bogus"])[0] == 2
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, backed by a scratch file
+    descriptor that ``main`` may redirect."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, _text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_pipe_exits_quietly(monkeypatch, tmp_path, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["enumerate", "--catalog", "rank2_3gen", "--format", "json"])
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert not capsys.readouterr().err

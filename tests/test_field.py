@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fermatmf import field
 from fermatmf.field import (
     FieldElement,
     NotInvertibleError,
@@ -111,8 +112,9 @@ def test_inverse_involution_and_identity():
         checked += 1
 
 
-def test_ring_axioms_randomized():
-    F = omega_field()
+@pytest.mark.parametrize("F", [omega_field(), sextic_field()],
+                         ids=["omega", "sextic"])
+def test_ring_axioms_randomized(F):
     rng = random.Random(7)
     for _ in range(1000):
         x, y, z = (_random_element(F, rng) for _ in range(3))
@@ -130,6 +132,37 @@ def test_canonical_form_is_identical_representation():
     c = -1 - w + 2 * w + w  # = 2w - 1 - w + ... keep simple: compare a route
     assert ((1 + w) ** 2).value == a.value
     assert (w * w).value == (-1 - w + 0 * c + 0 * b).value
+
+
+def test_value_is_the_nested_view():
+    F = sextic_field()
+    w, g = F.gen("w"), F.gen("g")
+    assert g.value == ((0, 0), (1, 0), (0, 0))
+    assert w.value == ((0, 1), (0, 0), (0, 0))
+    assert (w * g * g).value == ((0, 0), (0, 0), (0, 1))
+    assert omega_field()(3).value == (3, 0)
+    assert rationals()(Fraction(2, 3)).value == Fraction(2, 3)
+
+
+def test_inverse_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(field, "_INV_CACHE_LIMIT", 8)
+    F = omega_field()
+    w = F.gen("w")
+    monkeypatch.setattr(F, "_inv_cache", {})
+    for n in range(1, 30):
+        x = n + w
+        assert x * x.inv() == 1
+        assert len(F._inv_cache) <= 8
+    assert (1 + w).inv() == -w
+
+
+def test_small_integers_are_shared_elements():
+    F = sextic_field()
+    w, g = F.gen("w"), F.gen("g")
+    assert F(3) is F(Fraction(3)) is (g + 3) - g
+    assert -F.one() is F(-1) is (w * w + w)
+    assert F.zero() is g - g
+    assert F(65) == 65 and F(Fraction(1, 2)) * 2 is F.one()
 
 
 def test_fields_are_interned():

@@ -213,6 +213,14 @@ def test_verify_matrix_factorization_success_and_failure():
     assert failure.residuals
     touched = {(i, j) for _, i, j, _ in failure.residuals}
     assert any(1 in pair for pair in touched)
+    # one product certifies only when f != 0: here phi*psi = 0 but psi*phi != 0
+    one = Polynomial.constant(F, F(1))
+    zero = Polynomial.zero(F)
+    nil = PolyMatrix(F, [[zero, one], [zero, zero]])
+    proj = PolyMatrix(F, [[one, zero], [zero, zero]])
+    assert nil * proj == PolyMatrix.identity(F, 2, scale=zero)
+    with pytest.raises(MatrixError):
+        verify_matrix_factorization(nil, proj, zero)
 
 
 def test_matrix_text_round_trip():
