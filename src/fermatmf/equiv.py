@@ -17,10 +17,8 @@ import random
 from .families import FamilyId, SigmaPerm
 from .field import omega_field, special_roots
 from .matrix import (MatrixError, PolyMatrix, determinant, expand_determinant,
-                     field_nullspace, field_rref, format_one_line)
-from .poly import Polynomial, grlex_key
-
-_LINEAR_EXPS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+                     field_nullspace, field_rref, format_one_line, minors)
+from .poly import LINEAR_EXPS, Polynomial, grlex_key
 
 # Solution spaces wider than this skip the symbolic determinant and fall
 # back to seeded evaluation; see _decide_blocks.
@@ -471,13 +469,13 @@ def fitting_linear_span(M):
         for entry in row:
             lin = entry.linear_part()
             if lin:
-                rows.append([lin.coefficient(e) for e in _LINEAR_EXPS])
+                rows.append([lin.coefficient(e) for e in LINEAR_EXPS])
     if not rows:
         return ()
     reduced, pivots = field_rref(rows, field)
     basis = []
     for r in range(len(pivots)):
-        terms = {e: c for e, c in zip(_LINEAR_EXPS, reduced[r]) if c}
+        terms = {e: c for e, c in zip(LINEAR_EXPS, reduced[r]) if c}
         basis.append(Polynomial(field, terms))
     return tuple(basis)
 
@@ -630,30 +628,31 @@ def _reduction_key(R):
     of the vertical stack are invariant; and every k x k minor of U*A*V
     is a constant combination of k x k minors of A (Cauchy-Binet on both
     sides), so the coefficient span of the k-minors is invariant too.
+    Every minor, for k up to min(n, m) - 1, comes from one ``minors``
+    table, and each span is the nonzero rows of one ``field_rref``.
     """
     M = R.matrix
     field = M.field
     n, m = M.nrows, M.ncols
     coeff = []
-    for exps in _LINEAR_EXPS:
+    for exps in LINEAR_EXPS:
         coeff.append([[M.entries[i][j].coefficient(exps) for j in range(m)]
                       for i in range(n)])
     horiz = [sum((coeff[v][i] for v in range(4)), []) for i in range(n)]
     vert = [coeff[v][i] for v in range(4) for i in range(n)]
     row_rank = len(field_rref(horiz, field)[1])
     col_rank = len(field_rref(vert, field)[1])
+    size = min(n, m) - 1
+    levels = minors(M, size)
     spans = []
-    for k in range(1, min(n, m)):
-        minors = []
-        for rows_idx in itertools.combinations(range(n), k):
-            for cols_idx in itertools.combinations(range(m), k):
-                minors.append(determinant(M.submatrix(rows_idx, cols_idx)))
-        support = sorted({e for poly in minors for e in poly.terms},
+    for k in range(1, size + 1):
+        polys = list(levels[k].values())
+        support = sorted({e for poly in polys for e in poly.terms},
                          key=grlex_key)
         if not support:
             spans.append((k, "zero"))
             continue
-        mat = [[poly.coefficient(e) for e in support] for poly in minors]
+        mat = [[poly.coefficient(e) for e in support] for poly in polys]
         reduced, pivots = field_rref(mat, field)
         spans.append((k, tuple(support), pivots,
                       tuple(tuple(str(c) for c in reduced[row])

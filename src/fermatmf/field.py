@@ -52,9 +52,10 @@ _TOWER_CACHE = {}
 # many entries, so long runs keep a bounded amount of it.
 _INV_CACHE_LIMIT = 512
 
-# Every element equal to an integer in this range is one shared object per
-# tower: such constants fill the catalog matrices, and sharing them keeps
-# the memory of long runs low.
+# Every element equal to an integer in this range, and every element whose
+# coefficients all lie in {-1, 0, 1} (the roots of unity among them), is one
+# shared object per tower: such constants fill the catalog matrices, and
+# sharing them keeps the memory of long runs low.
 _SHARED_INTS = range(-64, 65)
 
 
@@ -122,6 +123,7 @@ class NumberField:
         self._inv_cache = {}
         self._ints = {n: FieldElement(self, self._lift(Fraction(n)))
                       for n in _SHARED_INTS}
+        self._signs = {}
         _TOWER_CACHE[levels] = self
         return self
 
@@ -180,9 +182,21 @@ class NumberField:
 
     def _element(self, coeffs):
         q = coeffs[0]
-        if not any(coeffs[1:]) and q.denominator == 1 and q.numerator in _SHARED_INTS:
-            return self._ints[q.numerator]
-        return FieldElement(self, coeffs)
+        if not any(coeffs[1:]):
+            if q.denominator == 1 and q.numerator in _SHARED_INTS:
+                return self._ints[q.numerator]
+            return FieldElement(self, coeffs)
+        key = []
+        for c in coeffs:
+            n = c.numerator
+            if c.denominator != 1 or n > 1 or n < -1:
+                return FieldElement(self, coeffs)
+            key.append(n)
+        key = tuple(key)
+        shared = self._signs.get(key)
+        if shared is None:
+            shared = self._signs[key] = FieldElement(self, coeffs)
+        return shared
 
     # -- public construction ------------------------------------------------
 
@@ -199,7 +213,7 @@ class NumberField:
         k = self.names.index(name)
         coeffs = list(self._zeros)
         coeffs[prod(self._degrees[:k])] = Fraction(1)
-        return FieldElement(self, tuple(coeffs))
+        return self._element(tuple(coeffs))
 
     def __call__(self, x):
         if isinstance(x, FieldElement):

@@ -2,8 +2,9 @@
 and the matrix-factorization identity check.
 
 Everything here is exact.  Sizes stay at 8 or below, so determinants use
-cofactor-style expansion (memoized over column subsets) and Pfaffians use the
-first-row expansion
+cofactor-style expansion (memoized over column subsets), minors and
+adjugates come from one table of all minors up to a size (``minors``), and
+Pfaffians use the first-row expansion
 
     Pf(S) = sum over m >= 2 of (-1)^m * M[s1, sm] * Pf(S without s1, sm)
 
@@ -18,6 +19,7 @@ on.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .field import FieldElement, TowerError
 from .poly import Polynomial, parse
@@ -35,15 +37,18 @@ class PolyMatrix:
     def __init__(self, field, rows):
         entries = []
         width = None
+        # every zero entry is the field's one shared zero polynomial, which
+        # keeps the memory of long sweeps low
+        zero = Polynomial.zero(field)
         for row in rows:
             coerced = []
             for entry in row:
                 if isinstance(entry, Polynomial):
                     if entry.field is not field:
                         raise TowerError("matrix entries over different fields")
-                    coerced.append(entry)
                 else:
-                    coerced.append(Polynomial.constant(field, field(entry)))
+                    entry = Polynomial.constant(field, field(entry))
+                coerced.append(entry if entry.terms else zero)
             if width is None:
                 width = len(coerced)
             elif len(coerced) != width:
@@ -219,22 +224,59 @@ def determinant(M):
                               Polynomial.zero(M.field))
 
 
+def minors(M, size):
+    """Every k x k minor of M for k = 0 .. size, from one memo table.
+
+    Returns ``levels``: ``levels[k]`` maps (row tuple, column tuple), both
+    increasing, to the k x k minor, in the order of
+    ``itertools.combinations`` on rows, then on columns.  A k-minor is
+    expanded along its last row into (k-1)-minors of ``levels[k-1]``, with
+    the sign (-1)^(k-1+p) of ``expand_determinant``, so each minor is
+    computed once.  The table holds sum C(nrows, k) * C(ncols, k) entries,
+    which is why ``determinant`` keeps its 2^n row-prefix expansion.
+    """
+    if not 0 <= size <= min(M.nrows, M.ncols):
+        raise MatrixError("no %d x %d minors in a %d x %d matrix"
+                          % (size, size, M.nrows, M.ncols))
+    zero = Polynomial.zero(M.field)
+    levels = [{((), ()): Polynomial.one(M.field)}]
+    for k in range(1, size + 1):
+        below = levels[-1]
+        level = {}
+        for rows in combinations(range(M.nrows), k):
+            head, last = rows[:-1], M.entries[rows[-1]]
+            for cols in combinations(range(M.ncols), k):
+                acc = zero
+                for p, j in enumerate(cols):
+                    a = last[j]
+                    if not a:
+                        continue
+                    sub = below[head, cols[:p] + cols[p + 1:]]
+                    if sub:
+                        term = a * sub
+                        acc = acc + (term if (k - 1 + p) % 2 == 0 else -term)
+                level[rows, cols] = acc
+        levels.append(level)
+    return levels
+
+
 def adjugate(M):
-    """The matrix adj with M * adj = adj * M = det(M) * Id."""
+    """The matrix adj with M * adj = adj * M = det(M) * Id.
+
+    adj[j][i] = (-1)^(i+j) * det(M without row i and column j); all n^2
+    cofactors are read from level n-1 of one ``minors`` table.
+    """
     if not M.is_square():
         raise MatrixError("adjugate of a non-square matrix")
     n = M.nrows
-    if n == 1:
-        return PolyMatrix.identity(M.field, 1)
-    indices = range(n)
-    cof = [[None] * n for _ in range(n)]
-    for i in indices:
-        rows = [r for r in indices if r != i]
-        for j in indices:
-            cols = [c for c in indices if c != j]
-            minor = determinant(M.submatrix(rows, cols))
-            cof[j][i] = minor if (i + j) % 2 == 0 else -minor
-    return PolyMatrix(M.field, cof)
+    cofactors = minors(M, n - 1)[n - 1]
+    rest = [tuple(k for k in range(n) if k != i) for i in range(n)]
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = cofactors[rest[i], rest[j]]
+            adj[j][i] = minor if (i + j) % 2 == 0 else -minor
+    return PolyMatrix(M.field, adj)
 
 
 def _require_skew(M, parity):
@@ -410,8 +452,14 @@ def field_rref(rows, field, ncols=None):
     """Reduced row echelon form of a matrix of field constants.
 
     ``rows`` is an iterable of equal-length sequences of FieldElement (ints
-    and Fractions are coerced).  Returns ``(reduced rows, pivot columns)``;
-    ``ncols`` is only needed when ``rows`` is empty.
+    and Fractions are coerced).  Returns ``(reduced rows, pivot columns)``:
+    the nonzero reduced rows in pivot order, then zero rows, one output row
+    per input row.  ``ncols`` is only needed when ``rows`` is empty.
+
+    The echelon grows a row at a time (Gauss-Jordan): each input row is
+    reduced by the pivot rows found so far, and its new pivot column is
+    then cleared from them, so the pivot rows stay fully reduced.  At full
+    column rank every later row reduces to zero, and the loop stops.
     """
     mat = [[field(c) for c in row] for row in rows]
     if ncols is None:
@@ -420,22 +468,30 @@ def field_rref(rows, field, ncols=None):
         ncols = len(mat[0])
     if any(len(row) != ncols for row in mat):
         raise MatrixError("ragged rows")
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
+    echelon = {}  # pivot column -> its reduced row
+    for row in mat:
+        if len(echelon) == ncols:
+            break
+        for col, prow in echelon.items():
+            factor = row[col]
+            if factor:
+                row = [c - factor * p if p else c for c, p in zip(row, prow)]
+        lead = next((j for j, c in enumerate(row) if c), None)
+        if lead is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        scale = mat[rank][col].inv()
-        mat[rank] = [scale * c for c in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [c - factor * p for c, p in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    return tuple(tuple(row) for row in mat), tuple(pivots)
+        scale = row[lead].inv()
+        row = [scale * c if c else c for c in row]
+        for col in echelon:
+            prow = echelon[col]
+            factor = prow[lead]
+            if factor:
+                echelon[col] = [c - factor * p if p else c
+                                for c, p in zip(prow, row)]
+        echelon[lead] = row
+    pivots = tuple(sorted(echelon))
+    reduced = [tuple(echelon[col]) for col in pivots]
+    reduced += [(field(0),) * ncols] * (len(mat) - len(pivots))
+    return tuple(reduced), pivots
 
 
 def field_nullspace(rows, field, ncols):

@@ -236,6 +236,9 @@ class ModuliPoint:
 
 _DRAW_BOUND = 4
 _CANDIDATE_CACHE = {}
+# The scans are memoised per point; the memo is emptied when it reaches this
+# many entries, so a run over many curve points keeps a bounded amount of it.
+_CANDIDATE_CACHE_LIMIT = 64
 
 
 def _structured_gamma2(lam):
@@ -244,7 +247,8 @@ def _structured_gamma2(lam):
     Scans the three-generator catalog for matrices whose x4 = 0 restriction
     is constant-equivalent to alpha over the point; each hit F yields
     D = U*F*V^-1 with D = alpha + x4*Gamma2 and det D = f, so Gamma2 joined
-    with any skew corner Gamma1 certifies.  The scan is cached per point.
+    with any skew corner Gamma1 certifies.  The scan is cached per point,
+    in a memo emptied at ``_CANDIDATE_CACHE_LIMIT`` entries.
     """
     key = (id(lam.field), lam.coords)
     cached = _CANDIDATE_CACHE.get(key)
@@ -271,6 +275,8 @@ def _structured_gamma2(lam):
             continue
         seen.add(gamma2)
         found.append(gamma2)
+    if len(_CANDIDATE_CACHE) >= _CANDIDATE_CACHE_LIMIT:
+        _CANDIDATE_CACHE.clear()
     _CANDIDATE_CACHE[key] = tuple(found)
     return _CANDIDATE_CACHE[key]
 

@@ -9,11 +9,26 @@ which keeps reports and fixtures diffable.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .field import FieldElement, TowerError
 
 NVARS = 4
 ZERO_EXP = (0,) * NVARS
+# the exponent tuples of x1..x4: every variable, and so every linear term
+# built from one, shares them
+LINEAR_EXPS = tuple(tuple(int(i == k) for i in range(NVARS))
+                    for k in range(NVARS))
+
+# Polynomial.zero(field), one per field; fields are interned, so this stays
+# small
+_ZEROS = {}
+# The monomials that products make, one shared exponent tuple each.  Runs
+# meet few of them (70 on the distinctness sweep, all of degree <= 4), so
+# sharing them keeps the memory of long runs low, and dict lookups on shared
+# tuples compare by identity.  Emptied when it passes the limit.
+_MONOMIALS = {}
+_MONOMIALS_LIMIT = 4096
 
 
 def grlex_key(exps):
@@ -61,7 +76,11 @@ class Polynomial:
 
     @classmethod
     def zero(cls, field):
-        return cls(field)
+        """The zero polynomial over ``field``: one shared instance per field."""
+        zero = _ZEROS.get(field)
+        if zero is None:
+            zero = _ZEROS[field] = cls(field)
+        return zero
 
     @classmethod
     def one(cls, field):
@@ -76,8 +95,7 @@ class Polynomial:
         """x_index for index in 1..4."""
         if not 1 <= index <= NVARS:
             raise ValueError("variable index out of range: %r" % (index,))
-        exps = tuple(1 if i == index - 1 else 0 for i in range(NVARS))
-        return cls(field, {exps: field.one()})
+        return cls(field, {LINEAR_EXPS[index - 1]: field.one()})
 
     # -- ring structure ------------------------------------------------------
 
@@ -141,7 +159,10 @@ class Polynomial:
         table = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
+                exps = _MONOMIALS.setdefault(exps, exps)
+                if len(_MONOMIALS) > _MONOMIALS_LIMIT:
+                    _MONOMIALS.clear()
                 prod = c1 * c2
                 prev = table.get(exps)
                 total = prod if prev is None else prev + prod

@@ -343,6 +343,16 @@ def test_the_5gen_catalog_has_162_members():
     assert names == {"rho": 54, "mu": 54, "mubar": 54}
 
 
+@pytest.mark.parametrize("catalog, groups", [("rank2_3gen", 36),
+                                             ("nonorientable_4gen", 108)])
+def test_reduction_keys_split_the_catalog_into_fixed_groups(catalog, groups):
+    # a change to the key's minor spans that splits or merges groups of
+    # equal keys shows up here before it changes a sweep's method mix
+    keys = {equiv._reduction_key(linear_reduction(fid.build().phi))
+            for fid in enumerate_classes(catalog).representatives}
+    assert len(keys) == groups
+
+
 def test_catalog_ids_are_sorted_and_buildable():
     for catalog in ("rank2_3gen", "nonorientable_4gen", "nonorientable_5gen"):
         report = enumerate_classes(catalog)

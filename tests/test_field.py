@@ -163,6 +163,9 @@ def test_small_integers_are_shared_elements():
     assert -F.one() is F(-1) is (w * w + w)
     assert F.zero() is g - g
     assert F(65) == 65 and F(Fraction(1, 2)) * 2 is F.one()
+    # coefficients in {-1, 0, 1}: the sixth roots of unity, g - w, ...
+    assert w is F.gen("w") is (w + 1) - 1
+    assert -(w * w) is w + 1 and (g - w) * 1 is g - w
 
 
 def test_fields_are_interned():

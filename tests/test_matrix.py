@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from fermatmf.matrix import (
     field_nullspace,
     field_rref,
     format_matrix,
+    minors,
     parse_matrix,
     pfaffian,
     pfaffian_adjoint,
@@ -164,15 +166,48 @@ def test_determinant_transpose_invariance():
             assert determinant(M.transpose()) == determinant(M)
 
 
+def _random_linear_form(rng):
+    w = F.gen("w")
+    return sum((x(i) * (F(rng.randint(-2, 2)) + F(rng.randint(-1, 1)) * w)
+                for i in range(1, 5)), Polynomial.zero(F))
+
+
+def test_minors_match_submatrix_determinants():
+    rng = random.Random(139)
+    for n, m in ((5, 5), (4, 5), (3, 5)):
+        M = PolyMatrix(F, [[_random_linear_form(rng) for _ in range(m)]
+                           for _ in range(n)])
+        levels = minors(M, n)
+        assert len(levels) == n + 1
+        assert levels[0] == {((), ()): Polynomial.one(F)}
+        for k in range(1, n + 1):
+            assert list(levels[k]) == [
+                (rows, cols) for rows in itertools.combinations(range(n), k)
+                for cols in itertools.combinations(range(m), k)]
+            for (rows, cols), minor in levels[k].items():
+                assert minor == determinant(M.submatrix(rows, cols))
+        with pytest.raises(MatrixError):
+            minors(M, n + 1)
+
+
 def test_adjugate_identity_and_oracle():
     assert adjugate(PolyMatrix.identity(F, 3)) == PolyMatrix.identity(F, 3)
     rng = random.Random(131)
-    for _ in range(100):
-        M = _random_square(rng, 4)
-        d = determinant(M)
-        expected = PolyMatrix.identity(F, 4, scale=d)
-        assert M * adjugate(M) == expected
-        assert adjugate(M) * M == expected
+    # the 100 seeded 4x4 cases are drawn first
+    for n, count in ((4, 100), (1, 5), (2, 10), (3, 10), (5, 3)):
+        for _ in range(count):
+            M = _random_square(rng, n)
+            d = determinant(M)
+            expected = PolyMatrix.identity(F, n, scale=d)
+            assert M * adjugate(M) == expected
+            assert adjugate(M) * M == expected
+
+
+def test_matrix_zero_entries_are_the_shared_zero():
+    zero = Polynomial.zero(F)
+    M = PolyMatrix(F, [[0, x(1) - x(1)], [Polynomial(F), x(2)]])
+    assert M[0, 0] is M[0, 1] is M[1, 0] is zero
+    assert M[1, 1] == x(2)
 
 
 def test_block_assembly():
@@ -244,6 +279,35 @@ def test_field_rref_hand_example():
     reduced, pivots = field_rref([[1, 2, 3], [2, 4, 8]], F)
     assert pivots == (0, 2)
     assert reduced == ((F(1), F(2), F(0)), (F(0), F(0), F(1)))
+
+
+def test_field_rref_of_a_tall_full_rank_system_is_the_identity():
+    w = F.gen("w")
+    rng = random.Random(149)
+    rows = [[F(rng.randint(-3, 3)) + F(rng.randint(-1, 1)) * w
+             for _ in range(3)] for _ in range(7)]
+    reduced, pivots = field_rref(rows, F)
+    assert pivots == (0, 1, 2)
+    assert reduced == tuple(tuple(F(int(i == j)) for j in range(3))
+                            for i in range(7))
+
+
+def test_field_rref_ignores_the_order_of_the_rows():
+    w = F.gen("w")
+    rng = random.Random(151)
+    basis = [[F(rng.randint(-3, 3)) + F(rng.randint(-1, 1)) * w
+              for _ in range(6)] for _ in range(3)]
+    rows = []
+    for _ in range(8):
+        coeffs = [F(rng.randint(-2, 2)) for _ in basis]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), F(0))
+                     for j in range(6)])
+    reduced, pivots = field_rref(rows, F)
+    assert len(pivots) == 3 and len(reduced) == 8
+    assert all(not any(row) for row in reduced[3:])
+    for _ in range(5):
+        rng.shuffle(rows)
+        assert field_rref(rows, F) == (reduced, pivots)
 
 
 def test_field_nullspace_kills_the_rows():

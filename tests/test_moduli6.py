@@ -2,6 +2,7 @@
 
 import pytest
 
+import fermatmf.moduli6 as moduli6
 from fermatmf.field import omega_field, sextic_field
 from fermatmf.families import (
     CurvePoint,
@@ -173,6 +174,16 @@ def test_sampling_is_deterministic_per_seed():
     other = sample_moduli_point(LAM, 2, 60)
     assert other is not None
     assert other != sampled_point()
+
+
+def test_the_candidate_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(moduli6, "_CANDIDATE_CACHE_LIMIT", 3)
+    full = {("another point", n): () for n in range(3)}
+    monkeypatch.setattr(moduli6, "_CANDIDATE_CACHE", full)
+    found = moduli6._structured_gamma2(LAM)
+    assert found
+    assert list(moduli6._CANDIDATE_CACHE.values()) == [found]
+    assert moduli6._structured_gamma2(LAM) is found
 
 
 def test_sampling_honours_the_budget():

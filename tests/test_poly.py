@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import fermatmf.poly as poly
 from fermatmf.field import TowerError, omega_field, sextic_field
 from fermatmf.poly import (
+    LINEAR_EXPS,
     ParseError,
     Polynomial,
     UnknownVariableError,
@@ -32,6 +34,28 @@ def test_add_zero_and_neutral_elements():
     assert f * 1 == f
     assert f - f == Polynomial.zero(F)
     assert not (f - f)
+
+
+def test_the_zero_and_the_monomials_are_shared():
+    assert Polynomial.zero(F) is Polynomial.zero(F)
+    assert Polynomial.zero(F) is not Polynomial.zero(sextic_field())
+    assert Polynomial.zero(F) == x(1) - x(1)
+    for k in range(1, 5):
+        (e,) = (F.gen("w") * x(k)).terms
+        assert e is LINEAR_EXPS[k - 1]
+    (e1,) = (x(1) * x(2)).terms
+    (e2,) = (x(2) * x(1)).terms
+    assert e1 is e2
+
+
+def test_the_monomial_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(poly, "_MONOMIALS_LIMIT", 8)
+    monkeypatch.setattr(poly, "_MONOMIALS", {})
+    s = x(1) + x(2) + x(3) + x(4)
+    cube = s * s * s
+    assert len(poly._MONOMIALS) <= 8
+    assert len(cube.terms) == 20
+    assert cube.eval((1, 1, 1, 1)) == 64
 
 
 def test_sigma_splitting_identity():
