@@ -175,83 +175,6 @@ def linear_reduction(M):
     return ReducedMatrix(_entry_matrix(M).map_entries(lambda p: p.linear_part()))
 
 
-# -- polynomials in solution-space parameters -----------------------------------
-
-class _ParamPoly:
-    """Sparse polynomial in the parameters t_0..t_{k-1} of a solution
-    space, coefficients in the ground field."""
-
-    __slots__ = ("field", "nparams", "terms")
-
-    def __init__(self, field, nparams, terms=None):
-        table = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = field(coeff)
-                if coeff:
-                    table[tuple(exps)] = coeff
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nparams", nparams)
-        object.__setattr__(self, "terms", table)
-
-    def __setattr__(self, *_):
-        raise AttributeError("_ParamPoly is immutable")
-
-    @classmethod
-    def constant(cls, field, nparams, c):
-        return cls(field, nparams, {(0,) * nparams: c})
-
-    def _with_terms(self, table):
-        out = _ParamPoly(self.field, self.nparams)
-        object.__setattr__(out, "terms", table)
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        table = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = table.get(exps, None)
-            total = coeff if total is None else total + coeff
-            if total:
-                table[exps] = total
-            elif exps in table:
-                del table[exps]
-        return self._with_terms(table)
-
-    def __neg__(self):
-        return self._with_terms({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        table = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                total = table.get(e, None)
-                prod = c1 * c2
-                total = prod if total is None else total + prod
-                if total:
-                    table[e] = total
-                elif e in table:
-                    del table[e]
-        return self._with_terms(table)
-
-    def substitute(self, index, value):
-        """Fix parameter ``index`` to a field value."""
-        table = {}
-        for exps, coeff in self.terms.items():
-            c = coeff * value ** exps[index] if exps[index] else coeff
-            e = exps[:index] + (0,) + exps[index + 1:]
-            total = table.get(e, None)
-            total = c if total is None else total + c
-            if total:
-                table[e] = total
-            elif e in table:
-                del table[e]
-        return self._with_terms(table)
-
-
 # -- the decision engine --------------------------------------------------------
 
 def _combine(field, basis, values):
@@ -270,18 +193,19 @@ def _block_matrix(field, vec, offset, size):
 def _pin_parameters(field, factors):
     """One value per parameter keeping every factor nonzero.
 
-    Parameters are fixed one at a time.  Each factor is a determinant of
-    a matrix whose entries are affine in the parameters, so its degree in
-    any single parameter is at most the matrix size (6 at worst); two
-    factors leave at most 12 bad values and the candidate list has 13.
+    ``factors`` are polynomials in the k parameters of a solution space.
+    Parameters are fixed one at a time, each by ``restrict`` to a
+    candidate value.  Each factor is a determinant of a matrix whose
+    entries are linear in the parameters, so its degree in any single
+    parameter is at most the matrix size (6 at worst); two factors leave
+    at most 12 bad values and the candidate list has 13.
     """
-    nparams = factors[0].nparams
     current = list(factors)
     chosen = []
-    for index in range(nparams):
+    for var in range(1, factors[0].nvars + 1):
         for raw in _WITNESS_VALUES:
             value = field(raw)
-            attempt = [f.substitute(index, value) for f in current]
+            attempt = [f.restrict(var, value) for f in current]
             if all(attempt):
                 chosen.append(value)
                 current = attempt
@@ -297,10 +221,13 @@ def _decide_blocks(field, basis, blocks, verify):
     ``basis`` spans the solution space as flat coefficient vectors;
     ``blocks`` lists (offset, size) of row-major square blocks inside a
     vector; ``verify`` re-checks a candidate witness exactly.  Up to
-    _PARAM_LIMIT parameters the answer is symbolic (a determinant per
-    block over the parameters); beyond that, 64 seeded draws look for a
-    witness, and if all give a singular block the verdict is inconclusive
-    (sampled_determinant): a sampled "no" proves nothing.
+    _PARAM_LIMIT parameters the answer is symbolic: each block becomes a
+    grid of linear forms in the k parameters, a ``Polynomial`` in k
+    variables per cell, and its determinant vanishes identically exactly
+    when every solution has that block singular.  Beyond that, 64 seeded
+    draws look for a witness, and if all give a singular block the
+    verdict is inconclusive (sampled_determinant): a sampled "no" proves
+    nothing.
     """
     k = len(basis)
     if k == 0:
@@ -308,22 +235,16 @@ def _decide_blocks(field, basis, blocks, verify):
             "not_equivalent", method="empty_solution_space",
             detail="only the zero solution intertwines the two matrices")
     if k <= _PARAM_LIMIT:
+        params = [tuple(int(t == b) for t in range(k)) for b in range(k)]
         factors = []
         for offset, size in blocks:
-            grid = []
-            for i in range(size):
-                row = []
-                for j in range(size):
-                    terms = {}
-                    for b, vec in enumerate(basis):
-                        c = vec[offset + i * size + j]
-                        if c:
-                            terms[tuple(1 if t == b else 0
-                                        for t in range(k))] = c
-                    row.append(_ParamPoly(field, k, terms))
-                grid.append(row)
-            det = expand_determinant(grid, _ParamPoly.constant(field, k, 1),
-                                     _ParamPoly(field, k))
+            grid = [[Polynomial(field, {params[b]: vec[cell]
+                                        for b, vec in enumerate(basis)
+                                        if vec[cell]}, k)
+                     for cell in range(start, start + size)]
+                    for start in range(offset, offset + size * size, size)]
+            det = expand_determinant(grid, Polynomial.one(field, k),
+                                     Polynomial.zero(field, k))
             if not det:
                 return EquivalenceVerdict(
                     "not_equivalent", method="determinant_polynomial",
@@ -358,31 +279,44 @@ def _decide_blocks(field, basis, blocks, verify):
                % (k, _SAMPLE_COUNT, 2 * max(size for _, size in blocks)))
 
 
+def _coefficient_rows(field, equations, ncols):
+    """The linear system on unknown constants that polynomial identities make.
+
+    Each equation is a list of (column, Polynomial) pairs and stands for
+    sum(unknown[column] * polynomial) = 0.  It holds exactly when every
+    monomial's coefficient vanishes, so it gives one row of width
+    ``ncols`` per monomial in its support, in graded lex order; pairs on
+    the same column add up.  For an identity with right-hand side C, the
+    pair (augmented column, C) fills the last column of the system [M | c].
+    """
+    zero = field.zero()
+    rows = []
+    for pairs in equations:
+        cells = {}  # monomial -> {column: coefficient}
+        for col, poly in pairs:
+            for exps, c in poly.terms.items():
+                cell = cells.setdefault(exps, {})
+                cell[col] = cell[col] + c if col in cell else c
+        for exps in sorted(cells, key=grlex_key):
+            row = [zero] * ncols
+            for col, c in cells[exps].items():
+                row[col] = c
+            rows.append(row)
+    return rows
+
+
 # -- scalar equivalence ---------------------------------------------------------
 
 def _intertwiner_basis(A, B):
     """Basis of {(U, V) constant : U*A = B*V}, each vector holding U then V
     flattened row-major."""
     m, n = A.nrows, A.ncols
-    field = A.field
     nunknowns = m * m + n * n
-    rows = []
-    for i in range(m):
-        for j in range(n):
-            support = set()
-            for k in range(m):
-                support.update(A.entries[k][j].terms)
-            for k in range(n):
-                support.update(B.entries[i][k].terms)
-            for exps in sorted(support, key=grlex_key):
-                row = [field.zero()] * nunknowns
-                for k in range(m):
-                    row[i * m + k] = A.entries[k][j].coefficient(exps)
-                for k in range(n):
-                    col = m * m + k * n + j
-                    row[col] = row[col] - B.entries[i][k].coefficient(exps)
-                rows.append(row)
-    return field_nullspace(rows, field, nunknowns)
+    equations = [[(i * m + k, A.entries[k][j]) for k in range(m)]
+                 + [(m * m + k * n + j, -B.entries[i][k]) for k in range(n)]
+                 for i in range(m) for j in range(n)]
+    rows = _coefficient_rows(A.field, equations, nunknowns)
+    return field_nullspace(rows, A.field, nunknowns)
 
 
 def scalar_equivalence(A, B):
@@ -431,22 +365,12 @@ def skew_symmetrizer_exists(M, modulus=None):
     n = M.nrows
     if modulus is not None:
         M = M.map_entries(lambda p: p.reduced_mod(modulus))
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            support = set()
-            for k in range(n):
-                support.update(M.entries[k][j].terms)
-                support.update(M.entries[k][i].terms)
-            for exps in sorted(support, key=grlex_key):
-                row = [field.zero()] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = row[i * n + k] \
-                        + M.entries[k][j].coefficient(exps)
-                    row[j * n + k] = row[j * n + k] \
-                        + M.entries[k][i].coefficient(exps)
-                rows.append(row)
-    basis = field_nullspace(rows, field, n * n)
+    # (T*M + (T*M)^t)[i][j] = sum_k T[i][k]*M[k][j] + T[j][k]*M[k][i]
+    equations = [[(i * n + k, M.entries[k][j]) for k in range(n)]
+                 + [(j * n + k, M.entries[k][i]) for k in range(n)]
+                 for i in range(n) for j in range(i, n)]
+    basis = field_nullspace(_coefficient_rows(field, equations, n * n),
+                            field, n * n)
 
     def verify(witness):
         T, = witness
@@ -506,6 +430,13 @@ def matrix_equation_solvable(W, V, C, degree_bound):
     monos = _monomials_up_to(degree_bound)
     nm = len(monos)
     na = p * r * nm
+    # the unknown A[k][j] is sum_t a_(k,j,t) * mu_t, so W[i][k]*A[k][j]
+    # pairs a_(k,j,t) with W[i][k]*mu_t; B*V likewise
+    shifts = [Polynomial(field, {mu: 1}) for mu in monos]
+    w_shifted = [[[W.entries[i][k] * mu for mu in shifts] for k in range(p)]
+                 for i in range(m)]
+    v_shifted = [[[V.entries[l][j] * mu for mu in shifts] for j in range(r)]
+                 for l in range(q)]
 
     def a_index(k, j, t):
         return (k * r + j) * nm + t
@@ -514,31 +445,13 @@ def matrix_equation_solvable(W, V, C, degree_bound):
         return na + (i * q + l) * nm + t
 
     nunknowns = na + m * q * nm
-    rows = []
-    for i in range(m):
-        for j in range(r):
-            bucket = {}
-
-            def add(col, exps, shift, coeff):
-                e = tuple(x + y for x, y in zip(exps, shift))
-                cols = bucket.setdefault(e, {})
-                cols[col] = cols.get(col, field.zero()) + coeff
-
-            for k in range(p):
-                for exps, coeff in W.entries[i][k].terms.items():
-                    for t, mu in enumerate(monos):
-                        add(a_index(k, j, t), exps, mu, coeff)
-            for l in range(q):
-                for exps, coeff in V.entries[l][j].terms.items():
-                    for t, mu in enumerate(monos):
-                        add(b_index(i, l, t), exps, mu, coeff)
-            support = set(bucket) | set(C.entries[i][j].terms)
-            for e in sorted(support, key=grlex_key):
-                row = [field.zero()] * (nunknowns + 1)
-                for col, coeff in bucket.get(e, {}).items():
-                    row[col] = coeff
-                row[nunknowns] = C.entries[i][j].coefficient(e)
-                rows.append(row)
+    equations = [[(a_index(k, j, t), w_shifted[i][k][t])
+                  for k in range(p) for t in range(nm)]
+                 + [(b_index(i, l, t), v_shifted[l][j][t])
+                    for l in range(q) for t in range(nm)]
+                 + [(nunknowns, C.entries[i][j])]
+                 for i in range(m) for j in range(r)]
+    rows = _coefficient_rows(field, equations, nunknowns + 1)
     reduced, pivots = field_rref(rows, field, nunknowns + 1)
     if nunknowns in pivots:
         return False, None

@@ -1,9 +1,13 @@
-"""Sparse exact multivariate polynomials in x1, x2, x3, x4 over a NumberField.
+"""Sparse exact multivariate polynomials over a NumberField.
 
-Monomials are exponent 4-tuples; a polynomial is a finite table mapping
-monomials to nonzero field elements, so equal polynomials have identical
-tables.  All printing uses graded lexicographic order with x1 > x2 > x3 > x4,
-which keeps reports and fixtures diffable.
+A polynomial lives in a ring of ``nvars`` variables: the four variables
+x1, x2, x3, x4 of the Fermat cubic by default, or the parameters of a
+solution space in ``equiv``.  Monomials are exponent ``nvars``-tuples; a
+polynomial is a finite table mapping monomials to nonzero field elements,
+so equal polynomials have identical tables.  All printing uses graded
+lexicographic order with x1 > x2 > x3 > x4, which keeps reports and
+fixtures diffable; printing, parsing, ``variable`` and ``eval`` speak of
+x1..x4.
 """
 
 from __future__ import annotations
@@ -14,21 +18,14 @@ from operator import add
 from .field import FieldElement, TowerError
 
 NVARS = 4
-ZERO_EXP = (0,) * NVARS
 # the exponent tuples of x1..x4: every variable, and so every linear term
 # built from one, shares them
 LINEAR_EXPS = tuple(tuple(int(i == k) for i in range(NVARS))
                     for k in range(NVARS))
 
-# Polynomial.zero(field), one per field; fields are interned, so this stays
-# small
+# Polynomial.zero(field, nvars), one per (field, nvars); fields are
+# interned and nvars stays small, so this stays small
 _ZEROS = {}
-# The monomials that products make, one shared exponent tuple each.  Runs
-# meet few of them (70 on the distinctness sweep, all of degree <= 4), so
-# sharing them keeps the memory of long runs low, and dict lookups on shared
-# tuples compare by identity.  Emptied when it passes the limit.
-_MONOMIALS = {}
-_MONOMIALS_LIMIT = 4096
 
 
 def grlex_key(exps):
@@ -49,16 +46,21 @@ class UnknownVariableError(ParseError):
 
 
 class Polynomial:
-    """An immutable sparse polynomial over a fixed NumberField."""
+    """An immutable sparse polynomial over a fixed NumberField in ``nvars``
+    variables.
 
-    __slots__ = ("field", "terms")
+    Polynomials combine only with polynomials over the same field in the
+    same number of variables; scalars coerce into the polynomial's ring.
+    """
 
-    def __init__(self, field, terms=None):
+    __slots__ = ("field", "terms", "nvars")
+
+    def __init__(self, field, terms=None, nvars=NVARS):
         table = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != NVARS or any(e < 0 or not isinstance(e, int) for e in exps):
+                if len(exps) != nvars or any(e < 0 or not isinstance(e, int) for e in exps):
                     raise ValueError("bad monomial %r" % (exps,))
                 coeff = field(coeff)
                 if coeff:
@@ -68,27 +70,37 @@ class Polynomial:
                         del table[exps]
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", table)
+        object.__setattr__(self, "nvars", nvars)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
+    def _with_terms(self, table):
+        """A polynomial in this ring holding ``table`` as is (no checks)."""
+        out = object.__new__(Polynomial)
+        object.__setattr__(out, "field", self.field)
+        object.__setattr__(out, "terms", table)
+        object.__setattr__(out, "nvars", self.nvars)
+        return out
+
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def zero(cls, field):
-        """The zero polynomial over ``field``: one shared instance per field."""
-        zero = _ZEROS.get(field)
+    def zero(cls, field, nvars=NVARS):
+        """The zero polynomial over ``field`` in ``nvars`` variables: one
+        shared instance per (field, nvars)."""
+        zero = _ZEROS.get((field, nvars))
         if zero is None:
-            zero = _ZEROS[field] = cls(field)
+            zero = _ZEROS[field, nvars] = cls(field, None, nvars)
         return zero
 
     @classmethod
-    def one(cls, field):
-        return cls(field, {ZERO_EXP: field.one()})
+    def one(cls, field, nvars=NVARS):
+        return cls(field, {(0,) * nvars: field.one()}, nvars)
 
     @classmethod
-    def constant(cls, field, c):
-        return cls(field, {ZERO_EXP: field(c)})
+    def constant(cls, field, c, nvars=NVARS):
+        return cls(field, {(0,) * nvars: field(c)}, nvars)
 
     @classmethod
     def variable(cls, field, index):
@@ -103,6 +115,9 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if other.field is not self.field:
                 raise TowerError("polynomials over different fields")
+            if other.nvars != self.nvars:
+                raise TowerError("polynomials in %d and %d variables"
+                                 % (self.nvars, other.nvars))
             return None
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.field(other)
@@ -113,7 +128,7 @@ class Polynomial:
         if s is NotImplemented:
             return NotImplemented
         if s is not None:
-            other = Polynomial.constant(self.field, s)
+            other = Polynomial.constant(self.field, s, self.nvars)
         table = dict(self.terms)
         for exps, coeff in other.terms.items():
             prev = table.get(exps)
@@ -122,24 +137,19 @@ class Polynomial:
                 table[exps] = total
             elif prev is not None:
                 del table[exps]
-        out = Polynomial(self.field)
-        object.__setattr__(out, "terms", table)
-        return out
+        return self._with_terms(table)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial(self.field)
-        object.__setattr__(out, "terms",
-                           {e: -c for e, c in self.terms.items()})
-        return out
+        return self._with_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         s = self._coerce_scalar(other)
         if s is NotImplemented:
             return NotImplemented
         if s is not None:
-            other = Polynomial.constant(self.field, s)
+            other = Polynomial.constant(self.field, s, self.nvars)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -150,19 +160,12 @@ class Polynomial:
         if s is NotImplemented:
             return NotImplemented
         if s is not None:
-            if not s:
-                return Polynomial(self.field)
-            out = Polynomial(self.field)
-            object.__setattr__(out, "terms",
-                               {e: c * s for e, c in self.terms.items()})
-            return out
+            return self._with_terms(
+                {e: c * s for e, c in self.terms.items()} if s else {})
         table = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(map(add, e1, e2))
-                exps = _MONOMIALS.setdefault(exps, exps)
-                if len(_MONOMIALS) > _MONOMIALS_LIMIT:
-                    _MONOMIALS.clear()
                 prod = c1 * c2
                 prev = table.get(exps)
                 total = prod if prev is None else prev + prod
@@ -170,16 +173,14 @@ class Polynomial:
                     table[exps] = total
                 elif prev is not None:
                     del table[exps]
-        out = Polynomial(self.field)
-        object.__setattr__(out, "terms", table)
-        return out
+        return self._with_terms(table)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Polynomial.one(self.field)
+        result = Polynomial.one(self.field, self.nvars)
         base = self
         while n:
             if n & 1:
@@ -190,9 +191,10 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.field is other.field and self.terms == other.terms
+            return (self.field is other.field and self.nvars == other.nvars
+                    and self.terms == other.terms)
         if isinstance(other, (int, Fraction, FieldElement)):
-            return self == Polynomial.constant(self.field, other)
+            return self == Polynomial.constant(self.field, other, self.nvars)
         return NotImplemented
 
     def __bool__(self):
@@ -204,7 +206,7 @@ class Polynomial:
         return self.terms.get(tuple(exps), self.field.zero())
 
     def constant_term(self):
-        return self.terms.get(ZERO_EXP, self.field.zero())
+        return self.terms.get((0,) * self.nvars, self.field.zero())
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -213,7 +215,7 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {ZERO_EXP}
+        return not self.terms or set(self.terms) == {(0,) * self.nvars}
 
     def is_homogeneous(self):
         """(True, common degree) or (False, None); zero counts as (True, None)."""
@@ -226,32 +228,45 @@ class Polynomial:
 
     def linear_part(self):
         """The sum of the degree-1 terms (everything else dropped)."""
-        out = Polynomial(self.field)
-        object.__setattr__(out, "terms",
-                           {e: c for e, c in self.terms.items() if sum(e) == 1})
-        return out
+        return self._with_terms(
+            {e: c for e, c in self.terms.items() if sum(e) == 1})
 
     def restrict(self, var, value):
-        """Substitute ``value`` (a polynomial or scalar) for x_var."""
-        if not 1 <= var <= NVARS:
+        """Substitute ``value`` for variable number ``var`` (1-based).
+
+        ``value`` is a scalar or a polynomial in the same ring.  Each term
+        c*m*x_var^e adds c*m*value^e into one table, so the result is built
+        once, whatever the number of terms.
+        """
+        if not 1 <= var <= self.nvars:
             raise ValueError("variable index out of range: %r" % (var,))
-        if not isinstance(value, Polynomial):
-            value = Polynomial.constant(self.field, self.field(value))
-        elif value.field is not self.field:
-            raise TowerError("polynomials over different fields")
+        s = self._coerce_scalar(value)
+        if s is NotImplemented:
+            raise TypeError("cannot substitute %r" % (value,))
+        if s is not None:
+            value = Polynomial.constant(self.field, s, self.nvars)
         i = var - 1
-        result = Polynomial(self.field)
-        powers = {0: Polynomial.one(self.field)}
-        for exps, coeff in sorted(self.terms.items(), key=lambda t: grlex_key(t[0])):
+        powers = {}
+        table = {}
+        for exps, coeff in self.terms.items():
             e = exps[i]
             if e not in powers:
                 powers[e] = value ** e
             rest = exps[:i] + (0,) + exps[i + 1:]
-            result = result + Polynomial(self.field, {rest: coeff}) * powers[e]
-        return result
+            for shift, c in powers[e].terms.items():
+                key = tuple(map(add, rest, shift))
+                prod = coeff * c
+                prev = table.get(key)
+                total = prod if prev is None else prev + prod
+                if total:
+                    table[key] = total
+                elif prev is not None:
+                    del table[key]
+        return self._with_terms(table)
 
     def eval(self, point):
-        """Exact value at a 4-tuple of field elements (or ints/Fractions)."""
+        """Exact value at a point: one field element (or int/Fraction) per
+        variable."""
         point = [self.field(c) for c in point]
         total = self.field.zero()
         for exps, coeff in self.terms.items():
@@ -276,14 +291,14 @@ class Polynomial:
         itself); with a single monic-leading divisor the remainder is
         canonical.
         """
-        if modulus.field is not self.field:
-            raise TowerError("polynomials over different fields")
+        if self._coerce_scalar(modulus) is not None:
+            raise TypeError("the modulus must be a polynomial")
         lead = modulus.leading()
         if lead is None:
             raise ZeroDivisionError("division by the zero polynomial")
         lexps, lcoeff = lead
         lcoeff_inv = lcoeff.inv()
-        rest = modulus - Polynomial(self.field, {lexps: lcoeff})
+        rest = modulus - Polynomial(self.field, {lexps: lcoeff}, self.nvars)
         rem = self
         while True:
             target = None
@@ -294,7 +309,8 @@ class Polynomial:
             if target is None:
                 return rem
             q = tuple(a - b for a, b in zip(target, lexps))
-            factor = Polynomial(self.field, {q: rem.terms[target] * lcoeff_inv})
+            factor = Polynomial(self.field, {q: rem.terms[target] * lcoeff_inv},
+                                self.nvars)
             rem = rem - factor * modulus
 
     # -- printing ------------------------------------------------------------

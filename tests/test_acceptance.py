@@ -414,11 +414,17 @@ def test_criterion_09_five_points_presentation():
     for q in vec:
         for p in points:
             assert q.eval(p.coords) == F(0)
+    # Both spans lie in the quadrics through the five points.  The points
+    # impose five independent conditions on the ten quadric coefficients,
+    # so those quadrics form a 5-dimensional space, and two 5-dimensional
+    # spans inside it are equal: the printed quadrics are the sub-Pfaffians.
+    conditions = [[Polynomial(F, {e: 1}).eval(p.coords) for e in _QUADRIC_EXPS]
+                  for p in points]
+    assert len(field_rref(conditions, F)[1]) == 5
     printed = _coefficient_span(quadrics, F)
     derived = _coefficient_span(vec, F)
-    # reported, not asserted: the presented basis of A is not pinned down
-    print("five-points span comparison: printed dim %d, sub-pfaffian dim %d, "
-          "spans equal: %s" % (len(printed), len(derived), printed == derived))
+    assert len(printed) == len(derived) == 5
+    assert printed == derived
 
 
 # -- 10: action laws -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the command line surface: reports, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -86,6 +87,27 @@ def test_equiv_separates_unrelated_slots(capsys):
         "--reduced"])
     assert code == 0
     assert data["checks"][0]["outcome"] == "not_equivalent"
+
+
+_U_SWAP = ["--left", "phi_t_sigma:t=1,sigma=234,a=-1,b=-w,u=w",
+           "--right", "psi_t_sigma:t=3,sigma=234,a=-1,b=-w,u=w^2"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (_U_SWAP,
+     "6575c6e26ebf65809fbd528d2d5403de069f5aa3d497aa93a4c4df5ab07203eb"),
+    (_U_SWAP + ["--reduced"],
+     "46ba198401a8fe37abc2f8a72e6c11c4334d7c7e8cd7e3ff5857d69a1d35196f"),
+    (["--left", "rho:sigma=234,a=-1,b=-w,u=w",
+      "--right", "rho:sigma=234,a=-1,b=-w,u=w^2"],
+     "5d6d2c9f61b5853bd768d928fe9105d883be6968378ef3031288ad197c6eab4d"),
+], ids=["u_swap", "u_swap_reduced", "rho_u_swap"])
+def test_equiv_reports_are_byte_identical(capsys, argv, digest):
+    # golden sha256 of the JSON report: any change to a verdict, a method
+    # or a witness matrix shows up here
+    code, out, _ = run(capsys, ["equiv"] + argv + ["--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_moduli_solve_prints_the_printed_solution(capsys):

@@ -194,6 +194,27 @@ def test_the_sampling_fallback_reports_singular_spaces(monkeypatch):
     assert "64" in verdict.detail
 
 
+def test_a_wide_solution_space_is_sampled_for_a_witness():
+    # U*x1 = x1*V forces U = V: 16 free parameters, past _PARAM_LIMIT
+    A = PolyMatrix.identity(F, 4, scale=x(1))
+    verdict = scalar_equivalence(A, A)
+    assert verdict.outcome == "equivalent_with_witness"
+    assert verdict.method == "sampled_witness"
+    U, V = verdict.witness
+    assert U * A == A * V
+    assert determinant(U) and determinant(V)
+
+
+def test_a_wide_singular_space_is_inconclusive():
+    # T*x1 is skew exactly when T is: 21 parameters, and every skew matrix
+    # of odd size is singular, so no draw can succeed
+    M = PolyMatrix.identity(F, 7, scale=x(1))
+    verdict = skew_symmetrizer_exists(M)
+    assert verdict.outcome == "inconclusive"
+    assert verdict.method == "sampled_determinant"
+    assert "21-parameter" in verdict.detail
+
+
 # -- skew symmetrizers ----------------------------------------------------------
 
 def test_odd_scalar_multiple_of_identity_has_no_symmetrizer():

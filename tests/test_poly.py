@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-import fermatmf.poly as poly
 from fermatmf.field import TowerError, omega_field, sextic_field
+from fermatmf.matrix import expand_determinant
 from fermatmf.poly import (
     LINEAR_EXPS,
     ParseError,
@@ -43,19 +43,44 @@ def test_the_zero_and_the_monomials_are_shared():
     for k in range(1, 5):
         (e,) = (F.gen("w") * x(k)).terms
         assert e is LINEAR_EXPS[k - 1]
-    (e1,) = (x(1) * x(2)).terms
-    (e2,) = (x(2) * x(1)).terms
-    assert e1 is e2
 
 
-def test_the_monomial_table_is_bounded(monkeypatch):
-    monkeypatch.setattr(poly, "_MONOMIALS_LIMIT", 8)
-    monkeypatch.setattr(poly, "_MONOMIALS", {})
-    s = x(1) + x(2) + x(3) + x(4)
-    cube = s * s * s
-    assert len(poly._MONOMIALS) <= 8
-    assert len(cube.terms) == 20
-    assert cube.eval((1, 1, 1, 1)) == 64
+def test_rings_with_other_numbers_of_variables_are_kept_apart():
+    t = Polynomial(F, {(1, 0, 0, 0, 0): 1}, 5)
+    assert t.nvars == 5 and x(1).nvars == 4
+    for mix in (lambda: t + x(1), lambda: x(1) * t, lambda: t.restrict(1, x(1))):
+        with pytest.raises(TowerError):
+            mix()
+    assert t != Polynomial(F, {(1, 0, 0, 0): 1})
+    # scalars coerce into the polynomial's own ring
+    assert (t + 2).nvars == 5
+    assert (t - t + 2) == Polynomial.constant(F, 2, 5)
+    assert Polynomial.zero(F, 5) is Polynomial.zero(F, 5)
+    assert Polynomial.zero(F, 5) != Polynomial.zero(F)
+    assert (t ** 0) == Polynomial.one(F, 5)
+    with pytest.raises(ValueError):
+        Polynomial(F, {(1, 0, 0, 0): 1}, 5)
+
+
+def test_restrict_pins_the_parameters_of_a_determinant():
+    # det of a 3x3 grid of linear forms in five parameters, as equiv builds
+    # them; pinning the parameters one by one must agree with evaluation
+    rng = random.Random(5)
+    w = F.gen("w")
+    units = [tuple(int(t == b) for t in range(5)) for b in range(5)]
+    grid = [[Polynomial(F, {u: rng.randint(-2, 2) + rng.randint(-1, 1) * w
+                            for u in units}, 5)
+             for _ in range(3)] for _ in range(3)]
+    det = expand_determinant(grid, Polynomial.one(F, 5), Polynomial.zero(F, 5))
+    assert det.is_homogeneous() == (True, 3)
+    for _ in range(5):
+        point = [F(rng.randint(-3, 3)) for _ in range(5)]
+        pinned = det
+        for var, value in enumerate(point, start=1):
+            pinned = pinned.restrict(var, value)
+            assert pinned.eval(point) == det.eval(point)
+        assert pinned.is_constant()
+        assert pinned.constant_term() == det.eval(point)
 
 
 def test_sigma_splitting_identity():
