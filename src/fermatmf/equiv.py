@@ -542,7 +542,9 @@ def _reduction_key(R):
     is a constant combination of k x k minors of A (Cauchy-Binet on both
     sides), so the coefficient span of the k-minors is invariant too.
     Every minor, for k up to min(n, m) - 1, comes from one ``minors``
-    table, and each span is the nonzero rows of one ``field_rref``.
+    table, and each span is the nonzero rows of one ``field_rref``, whose
+    rows are written from each minor's terms through a monomial -> column
+    index.
     """
     M = R.matrix
     field = M.field
@@ -557,6 +559,7 @@ def _reduction_key(R):
     col_rank = len(field_rref(vert, field)[1])
     size = min(n, m) - 1
     levels = minors(M, size)
+    zero = field.zero()
     spans = []
     for k in range(1, size + 1):
         polys = list(levels[k].values())
@@ -565,7 +568,13 @@ def _reduction_key(R):
         if not support:
             spans.append((k, "zero"))
             continue
-        mat = [[poly.coefficient(e) for e in support] for poly in polys]
+        column = {e: j for j, e in enumerate(support)}
+        mat = []
+        for poly in polys:
+            row = [zero] * len(support)
+            for e, c in poly.terms.items():
+                row[column[e]] = c
+            mat.append(row)
         reduced, pivots = field_rref(mat, field)
         spans.append((k, tuple(support), pivots,
                       tuple(tuple(str(c) for c in reduced[row])

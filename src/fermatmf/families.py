@@ -360,23 +360,50 @@ class GammaBlock:
 
 # -- form builders --------------------------------------------------------------
 
+# _variables' memo: one tuple of x1..x4 per field (fields are interned)
+_VARIABLES = {}
+
+
 def _variables(field):
-    return tuple(Polynomial.variable(field, k) for k in range(1, 5))
+    """x1..x4 over ``field``, one shared tuple per field, so the displays
+    share the variables and their negations."""
+    x = _VARIABLES.get(field)
+    if x is None:
+        x = _VARIABLES[field] = tuple(Polynomial.variable(field, k)
+                                      for k in range(1, 5))
+    return x
+
+
+# building_blocks' memo: one checked FormSet per (tower, sigma, a, b, u)
+_FORM_SETS = {}
 
 
 def building_blocks(sigma, r):
     """The eight sigma-forms w1, w2, v1, v2 and the linear factors of v1, v2.
 
     Checks the splitting identity f = w1*v1 + w2*v2 and the factorizations
-    v_t = v_t' * v_t'' before returning.
+    v_t = v_t' * v_t'' the first time a (tower, sigma, a, b, u) is asked
+    for, and from then on returns that same immutable FormSet, so every
+    family built on the same data shares its form objects (the 432
+    four-generated and 162 five-generated listings draw on 54 form sets),
+    which keeps the memory of long sweeps low.  The memo needs no limit:
+    RootData admits three cube roots of -1 for each of a and b and two
+    primitive cube roots of unity for u, and there are three sigma, so a
+    tower has at most 3 * 3 * 2 * 3 = 54 keys.
     """
     if not isinstance(sigma, SigmaPerm):
         raise FamilyError("sigma must be a SigmaPerm")
     r.require("a", "b", "u")
-    field = r.field
+    key = (r.field, sigma, r.a, r.b, r.u)
+    forms = _FORM_SETS.get(key)
+    if forms is None:
+        forms = _FORM_SETS[key] = _sigma_forms(sigma, r.field, r.a, r.b, r.u)
+    return forms
+
+
+def _sigma_forms(sigma, field, a, b, u):
     x = _variables(field)
     x1, xi, xj, xs = x[0], x[sigma.i - 1], x[sigma.j - 1], x[sigma.s - 1]
-    a, b, u = r.a, r.b, r.u
     w1 = x1 - a * xs
     w2 = xi - b * xj
     v1 = x1 * x1 + a * x1 * xs + (a * a) * xs * xs

@@ -1,14 +1,19 @@
 """Exact arithmetic in towers of algebraic extensions of the rationals.
 
 A tower Q(x1, ..., xr) adjoins each generator modulo a monic defining
-polynomial with rational coefficients.  An element is one flat tuple of
-``degree`` reduced Fractions over the monomials x1^i1 * ... * xr^ir, the
-first generator varying fastest, so equal elements have identical tuples.
-Each tower computes once the structure constants (the reduced product of
-any two basis monomials): multiplication is one pass over that table, and
-inversion solves one linear system over Q.  ``FieldElement.value`` is the
-nested view: a tuple over the last generator's powers of values one level
-down, a Fraction at the base.
+polynomial with integer coefficients.  An element is one flat tuple of
+``degree`` integer numerators over the monomials x1^i1 * ... * xr^ir, the
+first generator varying fastest, and one positive integer denominator
+common to all of them (H. Cohen, *A Course in Computational Algebraic
+Number Theory*, GTM 138, ch. 4).  The pair is kept in lowest terms, so
+equal elements have identical pairs and zero is (0, ..., 0) over 1; the
+gcd is only taken when the denominator is not 1.  Each tower computes
+once its structure constants (the reduced product of any two basis
+monomials), which are integers because the moduli are: multiplication is
+one pass over that table on the numerators, and the denominators
+multiply.  Inversion solves one linear system over Q per numerator
+vector.  ``FieldElement.value`` is the nested view: a tuple over the last
+generator's powers of values one level down, a Fraction at the base.
 
 The two towers the catalog actually needs are ``omega_field()`` -- Q(w)
 with w^2 + w + 1 = 0 -- and ``sextic_field()``, which further adjoins a
@@ -22,7 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
+from operator import add, sub
 
 
 class TowerError(Exception):
@@ -36,14 +42,6 @@ class UnsupportedFieldError(TowerError):
 class NotInvertibleError(ArithmeticError):
     """A nonzero element had no inverse, so some defining polynomial of
     the tower is not irreducible over the level below it."""
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TowerError("expected an integer or Fraction, got %r" % (x,))
 
 
 _TOWER_CACHE = {}
@@ -62,49 +60,44 @@ _SHARED_INTS = range(-64, 65)
 def _reduced_powers(modulus):
     """x^n mod ``modulus`` for n = 0 .. 2d-2, as d ascending coefficients."""
     d = len(modulus) - 1
-    powers = [tuple(Fraction(int(i == n)) for i in range(d)) for n in range(d)]
+    powers = [tuple(int(i == n) for i in range(d)) for n in range(d)]
     for _ in range(d - 1):
         prev = powers[-1]
         # x * prev, with x^d replaced by -(m_0 + m_1 x + ... + m_(d-1) x^(d-1))
-        shifted = (Fraction(0),) + prev[:-1]
+        shifted = (0,) + prev[:-1]
         powers.append(tuple(c - prev[-1] * m for c, m in zip(shifted, modulus)))
     return powers
 
 
 def _structure_constants(degrees, moduli):
-    """``table[a][b]`` lists the (c, t) with e_a * e_b = sum of t * e_c.
+    """The integer (a, b, c, t) with t != 0 in e_a * e_b = sum of t * e_c,
+    over every pair of basis monomials.
 
-    Basis index a = a1 + d1*(a2 + d2*(a3 + ...)) stands for x1^a1*x2^a2*...;
-    an integral constant is stored as an int, so +-1 is cheap to spot.
+    Basis index a = a1 + d1*(a2 + d2*(a3 + ...)) stands for x1^a1*x2^a2*...
     """
     powers = [_reduced_powers(m) for m in moduli]
     strides = [prod(degrees[:k]) for k in range(len(degrees))]
     # exponent tuples in basis order: the first generator varies fastest
     exps = [e[::-1] for e in product(*(range(d) for d in reversed(degrees)))]
     table = []
-    for ea in exps:
-        row = []
-        for eb in exps:
+    for a, ea in enumerate(exps):
+        for b, eb in enumerate(exps):
             factors = [[(stride * n, p) for n, p in enumerate(pw[i + j]) if p]
                        for pw, stride, i, j in zip(powers, strides, ea, eb)]
-            terms = []
-            for combo in product(*factors):
-                t = prod(p for _, p in combo)
-                terms.append((sum(c for c, _ in combo),
-                              int(t) if t.denominator == 1 else t))
-            row.append(tuple(terms))
-        table.append(row)
-    return table
+            table.extend((a, b, sum(c for c, _ in combo), prod(p for _, p in combo))
+                         for combo in product(*factors))
+    return tuple(table)
 
 
 class NumberField:
     """A tower of simple extensions of Q, interned by its description.
 
     ``levels`` is a tuple of (generator name, modulus) pairs where each
-    modulus is an ascending tuple of rational coefficients, monic of
-    degree >= 2.  Elements are flat coefficient vectors with a nested
-    ``value`` view (module docstring); the structure constants are
-    computed once, when the tower is interned.
+    modulus is an ascending tuple of integer coefficients, monic of
+    degree >= 2.  Elements are integer numerator vectors over one common
+    denominator, with a nested ``value`` view (module docstring); the
+    integer structure constants are computed once, when the tower is
+    interned.
     """
 
     def __new__(cls, levels=()):
@@ -117,11 +110,11 @@ class NumberField:
         self.names = tuple(name for name, _ in levels)
         self._degrees = tuple(len(modulus) - 1 for _, modulus in levels)
         self.degree = prod(self._degrees)
-        self._zeros = (Fraction(0),) * self.degree
+        self._zeros = (0,) * self.degree
         self._table = _structure_constants(
             self._degrees, [modulus for _, modulus in levels])
         self._inv_cache = {}
-        self._ints = {n: FieldElement(self, self._lift(Fraction(n)))
+        self._ints = {n: _make(self, (n,) + self._zeros[1:], 1)
                       for n in _SHARED_INTS}
         self._signs = {}
         _TOWER_CACHE[levels] = self
@@ -132,38 +125,24 @@ class NumberField:
             return "NumberField(Q)"
         return "NumberField(Q(%s))" % ", ".join(self.names)
 
-    # -- flat coefficient vectors ---------------------------------------------
-
-    def _lift(self, q):
-        return (q,) + self._zeros[1:]
+    # -- integer numerator vectors --------------------------------------------
 
     def _mul(self, x, y):
-        out = list(self._zeros)
-        table = self._table
-        ys = [(b, yb) for b, yb in enumerate(y) if yb]
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            row = table[a]
-            for b, yb in ys:
-                p = xa * yb
-                for c, t in row[b]:
-                    if t == 1:
-                        out[c] += p
-                    elif t == -1:
-                        out[c] -= p
-                    else:
-                        out[c] += p * t
+        out = [0] * self.degree
+        for a, b, c, t in self._table:
+            out[c] += x[a] * y[b] * t
         return tuple(out)
 
     def _inverse(self, v):
-        # solve M x = e_0 where column b of M is v * e_b, by Gauss-Jordan
+        # solve M x = e_0 over Q, where column b of M is v * e_b, by
+        # Gauss-Jordan; the solution comes back over its least common
+        # denominator, which leaves the pair in lowest terms
         if not any(v):
             raise ZeroDivisionError("division by zero")
         d, zeros = self.degree, self._zeros
-        images = [self._mul(v, zeros[:b] + (Fraction(1),) + zeros[b + 1:])
+        images = [self._mul(v, zeros[:b] + (1,) + zeros[b + 1:])
                   for b in range(d)]
-        rows = [[image[c] for image in images] + [Fraction(int(c == 0))]
+        rows = [[Fraction(image[c]) for image in images] + [Fraction(int(c == 0))]
                 for c in range(d)]
         for col in range(d):
             pivot = next((r for r in range(col, d) if rows[r][col]), None)
@@ -178,24 +157,31 @@ class NumberField:
                 factor = rows[r][col]
                 if r != col and factor:
                     rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-        return tuple(row[d] for row in rows)
+        solution = [row[d] for row in rows]
+        den = lcm(*(q.denominator for q in solution))
+        return tuple(q.numerator * (den // q.denominator) for q in solution), den
 
-    def _element(self, coeffs):
-        q = coeffs[0]
-        if not any(coeffs[1:]):
-            if q.denominator == 1 and q.numerator in _SHARED_INTS:
-                return self._ints[q.numerator]
-            return FieldElement(self, coeffs)
-        key = []
-        for c in coeffs:
-            n = c.numerator
-            if c.denominator != 1 or n > 1 or n < -1:
-                return FieldElement(self, coeffs)
-            key.append(n)
-        key = tuple(key)
-        shared = self._signs.get(key)
+    def _element(self, nums, den=1):
+        """The element nums/den: reduced to lowest terms, and the shared
+        object when there is one."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple([c // g for c in nums])
+            if den != 1:
+                return _make(self, nums, den)
+        if not any(nums[1:]):
+            n = nums[0]
+            if n in _SHARED_INTS:
+                return self._ints[n]
+            return _make(self, nums, 1)
+        for c in nums:
+            if c > 1 or c < -1:
+                return _make(self, nums, 1)
+        shared = self._signs.get(nums)
         if shared is None:
-            shared = self._signs[key] = FieldElement(self, coeffs)
+            shared = self._signs[nums] = _make(self, nums, 1)
         return shared
 
     # -- public construction ------------------------------------------------
@@ -211,9 +197,9 @@ class NumberField:
         if name not in self.names:
             raise TowerError("no generator named %r in %r" % (name, self))
         k = self.names.index(name)
-        coeffs = list(self._zeros)
-        coeffs[prod(self._degrees[:k])] = Fraction(1)
-        return self._element(tuple(coeffs))
+        nums = list(self._zeros)
+        nums[prod(self._degrees[:k])] = 1
+        return self._element(tuple(nums))
 
     def __call__(self, x):
         if isinstance(x, FieldElement):
@@ -222,9 +208,13 @@ class NumberField:
             return x
         if type(x) is int and x in _SHARED_INTS:
             return self._ints[x]
-        return self._element(self._lift(_as_fraction(x)))
+        if isinstance(x, (int, Fraction)):
+            return self._element((x.numerator,) + self._zeros[1:], x.denominator)
+        raise TowerError("expected an integer or Fraction, got %r" % (x,))
 
     def inv_value(self, v):
+        """The inverse of the element with numerators ``v`` over 1, as a
+        (numerators, denominator) pair in lowest terms."""
         cached = self._inv_cache.get(v)
         if cached is None:
             cached = self._inverse(v)
@@ -244,118 +234,167 @@ def _nest(coeffs, degrees):
 
 
 class FieldElement:
-    """An exact element of a NumberField; immutable and canonical."""
+    """An exact element of a NumberField; immutable and canonical.
 
-    __slots__ = ("field", "_coeffs")
+    ``_nums`` holds the integer numerators and ``_den`` the positive common
+    denominator, in lowest terms.
+    """
 
-    def __init__(self, field, coeffs):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_coeffs", coeffs)
+    __slots__ = ("field", "_nums", "_den")
 
     def __setattr__(self, *_):
         raise AttributeError("FieldElement is immutable")
+
+    def _fractions(self):
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._nums)
 
     @property
     def value(self):
         """The nested view: a Fraction over Q, else a tuple over the powers
         of the last generator whose entries are values one level down."""
-        return _nest(self._coeffs, self.field._degrees)
+        return _nest(self._fractions(), self.field._degrees)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field is not self.field:
                 raise TowerError("operands from different fields")
-            return other._coeffs
+            return other
         if isinstance(other, (int, Fraction)):
-            return self.field(other)._coeffs
+            return self.field(other)
         return None
 
     def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
+        o = other if type(other) is FieldElement and other.field is self.field \
+            else self._coerce(other)
+        if o is None:
             return NotImplemented
-        # a zero summand keeps the coefficient object: no work, and zero
-        # coefficients stay shared
+        da, db = self._den, o._den
+        if da == db:
+            return self.field._element(tuple(map(add, self._nums, o._nums)), da)
         return self.field._element(tuple(
-            a + b if b else a for a, b in zip(self._coeffs, v)))
+            [a * db + b * da for a, b in zip(self._nums, o._nums)]), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.field._element(tuple(-a if a else a for a in self._coeffs))
+        return self.field._element(tuple([-a for a in self._nums]), self._den)
 
     def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
+        o = other if type(other) is FieldElement and other.field is self.field \
+            else self._coerce(other)
+        if o is None:
             return NotImplemented
+        da, db = self._den, o._den
+        if da == db:
+            return self.field._element(tuple(map(sub, self._nums, o._nums)), da)
         return self.field._element(tuple(
-            a - b if b else a for a, b in zip(self._coeffs, v)))
+            [a * db - b * da for a, b in zip(self._nums, o._nums)]), da * db)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
+        o = other if type(other) is FieldElement and other.field is self.field \
+            else self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.field._element(self.field._mul(self._coeffs, v))
+        field = self.field
+        return field._element(field._mul(self._nums, o._nums),
+                              self._den * o._den)
 
     __rmul__ = __mul__
 
+    def _inverse_pair(self):
+        # 1/self as (numerators, denominator), not yet in lowest terms: the
+        # inverse of the numerator vector, scaled by the denominator
+        nums, den = self.field.inv_value(self._nums)
+        if self._den != 1:
+            nums = tuple([c * self._den for c in nums])
+        return nums, den
+
+    def _quotient(self, x, y):
+        nums, den = y._inverse_pair()
+        return self.field._element(self.field._mul(x._nums, nums), x._den * den)
+
     def inv(self):
-        return self.field._element(self.field.inv_value(self._coeffs))
+        return self.field._element(*self._inverse_pair())
 
     def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.field._element(self.field._mul(
-            self._coeffs, self.field.inv_value(v)))
+        return self._quotient(self, o)
 
     def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.field._element(self.field._mul(
-            v, self.field.inv_value(self._coeffs)))
+        return self._quotient(o, self)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        result = self.field.one()
+        if n == 0:
+            return self.field.one()
+        # square-and-multiply from the low bit, squaring only while bits
+        # remain: x ** 1, x ** 2, x ** 3 cost 0, 1, 2 products
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field is other.field and self._coeffs == other._coeffs
+            return (self.field is other.field and self._den == other._den
+                    and self._nums == other._nums)
         if isinstance(other, (int, Fraction)):
-            return self._coeffs[0] == other and self.is_rational()
+            return (self._den == other.denominator
+                    and self._nums[0] == other.numerator and self.is_rational())
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field), self._coeffs))
+        return hash((id(self.field), self._nums, self._den))
 
     def __bool__(self):
-        return any(self._coeffs)
+        return any(self._nums)
 
     def is_rational(self):
-        return not any(self._coeffs[1:])
+        return not any(self._nums[1:])
 
     def as_rational(self):
-        return self._coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     def __str__(self):
-        return _fmt_value(self.field, self._coeffs, len(self.field.levels))
+        # integers print as their Fractions do, so only a denominator
+        # other than 1 needs the Fractions
+        coeffs = self._nums if self._den == 1 else self._fractions()
+        return _fmt_value(self.field, coeffs, len(self.field.levels))
 
     __repr__ = __str__
+
+
+_new_element = object.__new__
+_set_field = FieldElement.field.__set__
+_set_nums = FieldElement._nums.__set__
+_set_den = FieldElement._den.__set__
+
+
+def _make(field, nums, den):
+    # the slots are filled through their descriptors, past the immutable
+    # __setattr__; only NumberField._element and the shared integers call it
+    element = _new_element(FieldElement)
+    _set_field(element, field)
+    _set_nums(element, nums)
+    _set_den(element, den)
+    return element
 
 
 def _fmt_value(field, v, k):
@@ -403,11 +442,25 @@ def rationals():
     return NumberField()
 
 
+def _integral(name, c):
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise TowerError("defining polynomial for %r has the non-integral "
+                             "coefficient %s" % (name, c))
+        return c.numerator
+    if isinstance(c, int):
+        return int(c)
+    raise TowerError("expected an integer or Fraction, got %r" % (c,))
+
+
 def make_tower(spec):
     """Build a NumberField from (name, ascending coefficients) pairs.
 
-    Coefficients are integers or Fractions; each polynomial must be monic
-    of degree at least 2.  Irreducibility is trusted, not checked.
+    Coefficients are integers, or Fractions with denominator 1; each
+    polynomial must be monic of degree at least 2, so its root is an
+    algebraic integer and the structure constants stay integral.  A
+    non-integral coefficient is refused.  Irreducibility is trusted, not
+    checked.
     """
     levels = []
     seen = set()
@@ -415,7 +468,7 @@ def make_tower(spec):
         if name in seen:
             raise TowerError("duplicate generator name %r" % name)
         seen.add(name)
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        coeffs = tuple(_integral(name, c) for c in coeffs)
         if len(coeffs) < 3:
             raise TowerError("defining polynomial for %r has degree < 2" % name)
         if coeffs[-1] != 1:
@@ -453,7 +506,7 @@ def special_roots(field):
     The field must contain w (a primitive cube root of unity); the three
     cube roots of -1 are then -1, -w, -w*w.
     """
-    if not field.levels or field.levels[0] != ("w", (Fraction(1), Fraction(1), Fraction(1))):
+    if not field.levels or field.levels[0] != ("w", (1, 1, 1)):
         raise UnsupportedFieldError("field %r does not contain w" % (field,))
     w = field.gen("w")
     one = field.one()

@@ -53,7 +53,7 @@ class Polynomial:
     same number of variables; scalars coerce into the polynomial's ring.
     """
 
-    __slots__ = ("field", "terms", "nvars")
+    __slots__ = ("field", "terms", "nvars", "_neg")
 
     def __init__(self, field, terms=None, nvars=NVARS):
         table = {}
@@ -71,6 +71,7 @@ class Polynomial:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", table)
         object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_neg", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -81,6 +82,7 @@ class Polynomial:
         object.__setattr__(out, "field", self.field)
         object.__setattr__(out, "terms", table)
         object.__setattr__(out, "nvars", self.nvars)
+        object.__setattr__(out, "_neg", None)
         return out
 
     # -- construction helpers ----------------------------------------------
@@ -141,8 +143,18 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
+    def _negated(self):
         return self._with_terms({e: -c for e, c in self.terms.items()})
+
+    def __neg__(self):
+        # memoised on the polynomial: the catalog displays negate the same
+        # shared forms and variables over and over, and then share the
+        # negations too
+        neg = self._neg
+        if neg is None:
+            neg = self._negated()
+            object.__setattr__(self, "_neg", neg)
+        return neg
 
     def __sub__(self, other):
         s = self._coerce_scalar(other)
@@ -150,7 +162,7 @@ class Polynomial:
             return NotImplemented
         if s is not None:
             other = Polynomial.constant(self.field, s, self.nvars)
-        return self + (-other)
+        return self + other._negated()
 
     def __rsub__(self, other):
         return -(self - other)
@@ -180,14 +192,19 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Polynomial.one(self.field, self.nvars)
+        if n == 0:
+            return Polynomial.one(self.field, self.nvars)
+        # square-and-multiply from the low bit, squaring only while bits
+        # remain: p ** 1, p ** 2, p ** 3 cost 0, 1, 2 products
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -266,8 +283,11 @@ class Polynomial:
 
     def eval(self, point):
         """Exact value at a point: one field element (or int/Fraction) per
-        variable."""
+        variable, ``nvars`` of them."""
         point = [self.field(c) for c in point]
+        if len(point) != self.nvars:
+            raise ValueError("a point in %d variables has %d coordinates"
+                             % (self.nvars, len(point)))
         total = self.field.zero()
         for exps, coeff in self.terms.items():
             term = coeff

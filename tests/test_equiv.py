@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -372,6 +373,19 @@ def test_reduction_keys_split_the_catalog_into_fixed_groups(catalog, groups):
     keys = {equiv._reduction_key(linear_reduction(fid.build().phi))
             for fid in enumerate_classes(catalog).representatives}
     assert len(keys) == groups
+
+
+def test_reduction_keys_are_byte_identical():
+    # golden sha256 over the keys of all 666 catalog matrices, one repr per
+    # line: any change to a rank, a minor span or its printed echelon shows up
+    lines = [repr(equiv._reduction_key(linear_reduction(fid.build().phi)))
+             for catalog in ("rank2_3gen", "nonorientable_4gen",
+                             "nonorientable_5gen")
+             for fid in enumerate_classes(catalog).representatives]
+    assert len(lines) == 666
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == ("05ae8868b03e3a7f3cdb72cdc882f14d"
+                      "21f442df06639d4179dcdce163a5b587")
 
 
 def test_catalog_ids_are_sorted_and_buildable():

@@ -136,6 +136,31 @@ def test_building_blocks_split_f_everywhere():
         assert fs.v2p * fs.v2pp == fs.v2
 
 
+def test_repeated_builds_share_their_forms():
+    # one checked FormSet per (tower, sigma, a, b, u): separately built
+    # RootData with equal values give the same forms, and the displays built
+    # on them share the forms, the variables and their negations
+    sigma = SigmaPerm(2, 3, 4)
+    first = building_blocks(sigma, RootData(F, a=-1, b=-W, u=W))
+    second = building_blocks(SigmaPerm(2, 3, 4), RootData(F, a=-1, b=-W, u=W))
+    assert second is first and second.w1 is first.w1
+    assert building_blocks(sigma, RootData(F, a=-1, b=-W, u=W * W)) is not first
+    one = build_nonorientable_4gen(1, "phi", sigma, RootData(F, a=-1, b=-W, u=W)).phi
+    two = build_nonorientable_4gen(1, "phi", sigma, RootData(F, a=-1, b=-W, u=W)).phi
+    assert one[0, 1] is two[0, 1] is first.w1
+    assert one[1, 0] is two[1, 0]        # -w1
+    assert one[1, 2] is two[1, 2]        # -x4
+    assert -first.w1 is one[1, 0] and one[1, 0] == -x(1) - x(4)
+
+
+def test_building_blocks_check_their_input_before_the_memo():
+    r = RootData(F, a=-1, b=-W, u=W)
+    with pytest.raises(FamilyError):
+        building_blocks((2, 3, 4), r)
+    with pytest.raises(FamilyError):
+        building_blocks(SigmaPerm(2, 3, 4), RootData(F, a=-1, b=-W))
+
+
 def test_form_set_rejects_unknown_names():
     with pytest.raises(FamilyError):
         FormSet(F, w5=x(1))

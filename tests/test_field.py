@@ -74,6 +74,48 @@ def test_make_tower_rejects_bad_moduli():
         make_tower([("t", (1, 1, 1)), ("t", (2, 0, 0, 1))])  # duplicate name
 
 
+def test_make_tower_takes_integral_moduli_only():
+    with pytest.raises(TowerError):
+        make_tower([("t", (Fraction(1, 2), 0, 1))])
+    with pytest.raises(TowerError):
+        make_tower([("t", (1, Fraction(2, 3), 1))])
+    with pytest.raises(TowerError):
+        make_tower([("t", (1.0, 1, 1))])
+    # an integral Fraction is the integer it equals
+    assert make_tower([("w", (Fraction(1), 1, Fraction(2, 2)))]) is omega_field()
+
+
+def test_integer_numerators_over_one_denominator():
+    F = omega_field()
+    w = F.gen("w")
+    half = F(Fraction(1, 2))
+    assert half + half is F.one()
+    assert (w / 2) * 2 is w
+    # a zero reached through a denominator is the shared zero
+    assert F(Fraction(1, 3)) * 3 - 1 is F.zero()
+    assert w / 3 - w / 3 is F.zero()
+    assert not (w / 6 + w / 3 - w / 2)
+    # equal elements reached by different routes are equal, hash equally
+    # and print alike
+    routes = [(w + 1) / 2, -(w * w) * Fraction(1, 2), (2 * w + 2) / 4,
+              w / 2 + Fraction(1, 2), (w * w).inv() / 2 + Fraction(1, 2)]
+    assert all(r == routes[0] for r in routes)
+    assert len({hash(r) for r in routes}) == 1
+    assert {str(r) for r in routes} == {"1/2*w + 1/2"}
+    assert F(Fraction(-3, 4)) == Fraction(-3, 4) and F(Fraction(-3, 4)) != -1
+
+
+def test_value_entries_are_fractions():
+    S = sextic_field()
+    x = (S.gen("w") / 3 + S.gen("g") * Fraction(5, 2)) * S.gen("g") - 7
+    flat = [c for level in x.value for c in level]
+    assert all(type(c) is Fraction for c in flat)
+    assert flat == [-7, 0, 0, Fraction(1, 3), Fraction(5, 2), 0]
+    assert type(rationals()(3).value) is Fraction
+    assert type(omega_field().gen("w").value[1]) is Fraction
+    assert x.as_rational() == -7 and type(x.as_rational()) is Fraction
+
+
 def test_reducible_modulus_is_diagnosed_on_inversion():
     # t^2 + 2t + 1 = (t+1)^2 is not irreducible; t+1 is a nonzero
     # zero-divisor, and inverting it must say why

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fermatmf.field import TowerError, omega_field, sextic_field
+from fermatmf.field import FieldElement, TowerError, omega_field, sextic_field
 from fermatmf.matrix import expand_determinant
 from fermatmf.poly import (
     LINEAR_EXPS,
@@ -172,6 +172,42 @@ def test_eval_at_surface_points():
     quadric = x(2) * x(4) + x(3) * x(4) * w
     assert quadric.eval((1, 0, -1, 0)) == 0
     assert f.eval((1, 1, 1, 1)) == 4
+
+
+def test_eval_needs_one_coordinate_per_variable():
+    with pytest.raises(ValueError):
+        x(4).eval((1, 2, 3))
+    with pytest.raises(ValueError):
+        (x(1) * x(4)).eval((1, 2, 3, 4, 5))
+    t = Polynomial(F, {(1, 0): 1, (0, 2): 1}, nvars=2)
+    assert t.eval((3, 2)) == 7
+    with pytest.raises(ValueError):
+        t.eval((3, 2, 1, 0))
+
+
+def test_powers_square_only_while_bits_remain(monkeypatch):
+    # x ** 1, x ** 2, x ** 3 cost 0, 1 and 2 products, for polynomials and
+    # for field elements alike
+    w = F.gen("w")
+    for cls, base in ((Polynomial, x(1) + w * x(2)), (FieldElement, w + 2)):
+        products = []
+        multiply = cls.__mul__
+
+        def counted(a, b, multiply=multiply, products=products):
+            products.append(1)
+            return multiply(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        for n, cost in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+            products.clear()
+            power = base ** n
+            assert len(products) == cost
+            expected = base
+            for _ in range(n - 1):
+                expected = multiply(expected, base)
+            assert power == expected
+        monkeypatch.undo()
+    assert x(1) ** 0 == 1 and (w + 2) ** 0 == 1
 
 
 def test_is_homogeneous():
