@@ -111,6 +111,17 @@ def _parse_values(field, text, count, what):
         raise _UsageError("%s: %s" % (what, err))
 
 
+def _budget(text):
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 0:
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r"
+                                         % text)
+    return budget
+
+
 def _parse_point(field, text):
     if text is None:
         raise _UsageError("--lambda A,B is required")
@@ -299,7 +310,7 @@ def _build_parser():
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--field", choices=sorted(_FIELDS), default="omega")
     common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--budget", type=int, default=100)
+    common.add_argument("--budget", type=_budget, default=100)
 
     parser = argparse.ArgumentParser(
         prog="fermatmf",

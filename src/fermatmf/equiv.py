@@ -27,6 +27,8 @@ _WITNESS_VALUES = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)
 _SAMPLE_COUNT = 64
 _SAMPLE_SEED = 271828
 _SAMPLE_BOUND = 10 ** 6
+# the column of each variable in a row of linear-form coefficients
+_LINEAR_INDEX = {e: v for v, e in enumerate(LINEAR_EXPS)}
 
 
 class EquivError(ValueError):
@@ -279,17 +281,18 @@ def _decide_blocks(field, basis, blocks, verify):
                % (k, _SAMPLE_COUNT, 2 * max(size for _, size in blocks)))
 
 
-def _coefficient_rows(field, equations, ncols):
+def _coefficient_rows(equations):
     """The linear system on unknown constants that polynomial identities make.
 
     Each equation is a list of (column, Polynomial) pairs and stands for
     sum(unknown[column] * polynomial) = 0.  It holds exactly when every
-    monomial's coefficient vanishes, so it gives one row of width
-    ``ncols`` per monomial in its support, in graded lex order; pairs on
-    the same column add up.  For an identity with right-hand side C, the
-    pair (augmented column, C) fills the last column of the system [M | c].
+    monomial's coefficient vanishes, so it gives one {column: coefficient}
+    row per monomial in its support, in graded lex order, as
+    ``field_rref`` takes them; pairs on the same column add up (a sum that
+    cancels stays as a zero entry, which the echelon skips).  For an
+    identity with right-hand side C, the pair (augmented column, C) fills
+    the last column of the system [M | c].
     """
-    zero = field.zero()
     rows = []
     for pairs in equations:
         cells = {}  # monomial -> {column: coefficient}
@@ -297,11 +300,7 @@ def _coefficient_rows(field, equations, ncols):
             for exps, c in poly.terms.items():
                 cell = cells.setdefault(exps, {})
                 cell[col] = cell[col] + c if col in cell else c
-        for exps in sorted(cells, key=grlex_key):
-            row = [zero] * ncols
-            for col, c in cells[exps].items():
-                row[col] = c
-            rows.append(row)
+        rows.extend(cells[exps] for exps in sorted(cells, key=grlex_key))
     return rows
 
 
@@ -315,7 +314,7 @@ def _intertwiner_basis(A, B):
     equations = [[(i * m + k, A.entries[k][j]) for k in range(m)]
                  + [(m * m + k * n + j, -B.entries[i][k]) for k in range(n)]
                  for i in range(m) for j in range(n)]
-    rows = _coefficient_rows(A.field, equations, nunknowns)
+    rows = _coefficient_rows(equations)
     return field_nullspace(rows, A.field, nunknowns)
 
 
@@ -369,8 +368,7 @@ def skew_symmetrizer_exists(M, modulus=None):
     equations = [[(i * n + k, M.entries[k][j]) for k in range(n)]
                  + [(j * n + k, M.entries[k][i]) for k in range(n)]
                  for i in range(n) for j in range(i, n)]
-    basis = field_nullspace(_coefficient_rows(field, equations, n * n),
-                            field, n * n)
+    basis = field_nullspace(_coefficient_rows(equations), field, n * n)
 
     def verify(witness):
         T, = witness
@@ -385,7 +383,11 @@ def skew_symmetrizer_exists(M, modulus=None):
 # -- linear invariants ----------------------------------------------------------
 
 def fitting_linear_span(M):
-    """Reduced basis of the K-span of the linear parts of all entries."""
+    """Reduced basis of the K-span of the linear parts of all entries.
+
+    Each nonzero linear part gives one {variable index: coefficient} row,
+    written from its terms, of one ``field_rref`` over the four variables.
+    """
     M = _entry_matrix(M)
     field = M.field
     rows = []
@@ -393,10 +395,11 @@ def fitting_linear_span(M):
         for entry in row:
             lin = entry.linear_part()
             if lin:
-                rows.append([lin.coefficient(e) for e in LINEAR_EXPS])
+                rows.append({_LINEAR_INDEX[e]: c for e, c in lin.terms.items()
+                             if e in _LINEAR_INDEX})
     if not rows:
         return ()
-    reduced, pivots = field_rref(rows, field)
+    reduced, pivots = field_rref(rows, field, len(LINEAR_EXPS))
     basis = []
     for r in range(len(pivots)):
         terms = {e: c for e, c in zip(LINEAR_EXPS, reduced[r]) if c}
@@ -451,7 +454,7 @@ def matrix_equation_solvable(W, V, C, degree_bound):
                     for l in range(q) for t in range(nm)]
                  + [(nunknowns, C.entries[i][j])]
                  for i in range(m) for j in range(r)]
-    rows = _coefficient_rows(field, equations, nunknowns + 1)
+    rows = _coefficient_rows(equations)
     reduced, pivots = field_rref(rows, field, nunknowns + 1)
     if nunknowns in pivots:
         return False, None
@@ -542,24 +545,27 @@ def _reduction_key(R):
     is a constant combination of k x k minors of A (Cauchy-Binet on both
     sides), so the coefficient span of the k-minors is invariant too.
     Every minor, for k up to min(n, m) - 1, comes from one ``minors``
-    table, and each span is the nonzero rows of one ``field_rref``, whose
-    rows are written from each minor's terms through a monomial -> column
-    index.
+    table, and each span is the nonzero rows of one ``field_rref``.  All
+    of its rows are {column: coefficient} maps written from terms: a
+    stack row from the entries' terms through their variable index, a
+    minor's row from its terms through a monomial -> column index.
     """
     M = R.matrix
     field = M.field
     n, m = M.nrows, M.ncols
-    coeff = []
-    for exps in LINEAR_EXPS:
-        coeff.append([[M.entries[i][j].coefficient(exps) for j in range(m)]
-                      for i in range(n)])
-    horiz = [sum((coeff[v][i] for v in range(4)), []) for i in range(n)]
-    vert = [coeff[v][i] for v in range(4) for i in range(n)]
-    row_rank = len(field_rref(horiz, field)[1])
-    col_rank = len(field_rref(vert, field)[1])
+    horiz = [{} for _ in range(n)]  # row i of [A_1 .. A_4]
+    vert = [[{} for _ in range(n)] for _ in range(4)]  # row i of A_v
+    for i, row in enumerate(M.entries):
+        for j, entry in enumerate(row):
+            for e, c in entry.terms.items():
+                v = _LINEAR_INDEX.get(e)
+                if v is not None:
+                    horiz[i][v * m + j] = c
+                    vert[v][i][j] = c
+    row_rank = len(field_rref(horiz, field, 4 * m)[1])
+    col_rank = len(field_rref([row for A in vert for row in A], field, m)[1])
     size = min(n, m) - 1
     levels = minors(M, size)
-    zero = field.zero()
     spans = []
     for k in range(1, size + 1):
         polys = list(levels[k].values())
@@ -569,13 +575,8 @@ def _reduction_key(R):
             spans.append((k, "zero"))
             continue
         column = {e: j for j, e in enumerate(support)}
-        mat = []
-        for poly in polys:
-            row = [zero] * len(support)
-            for e, c in poly.terms.items():
-                row[column[e]] = c
-            mat.append(row)
-        reduced, pivots = field_rref(mat, field)
+        mat = [{column[e]: c for e, c in poly.terms.items()} for poly in polys]
+        reduced, pivots = field_rref(mat, field, len(support))
         spans.append((k, tuple(support), pivots,
                       tuple(tuple(str(c) for c in reduced[row])
                             for row in range(len(pivots)))))

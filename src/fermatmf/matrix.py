@@ -18,6 +18,7 @@ on.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
@@ -448,66 +449,117 @@ def verify_matrix_factorization(phi, psi, f):
 
 # -- exact linear algebra over the coefficient field ---------------------------
 
+def _subtract_multiple(row, factor, prow):
+    """row -= factor * prow in place, on {column: coefficient} rows that
+    never store a zero."""
+    for j, p in prow.items():
+        c = row.get(j)
+        if c is None:
+            row[j] = -(factor * p)
+        else:
+            c = c - factor * p
+            if c:
+                row[j] = c
+            else:
+                del row[j]
+
+
 def field_rref(rows, field, ncols=None):
     """Reduced row echelon form of a matrix of field constants.
 
-    ``rows`` is an iterable of equal-length sequences of FieldElement (ints
-    and Fractions are coerced).  Returns ``(reduced rows, pivot columns)``:
-    the nonzero reduced rows in pivot order, then zero rows, one output row
-    per input row.  ``ncols`` is only needed when ``rows`` is empty.
+    Each row is a sequence of ``ncols`` cells or a ``{column: coefficient}``
+    map; a map row needs ``ncols``, and a sequence row fixes it when it is
+    not given.  Cells are FieldElements, ints or Fractions, and only the
+    nonzero ones are coerced.  Returns ``(reduced rows, pivot columns)``:
+    the nonzero reduced rows in pivot order as dense tuples, then zero
+    rows, one output row per input row.
 
-    The echelon grows a row at a time (Gauss-Jordan): each input row is
-    reduced by the pivot rows found so far, and its new pivot column is
-    then cleared from them, so the pivot rows stay fully reduced.  At full
-    column rank every later row reduces to zero, and the loop stops.
+    The echelon is sparse and grows a row at a time (Gauss-Jordan): every
+    row is a {column: coefficient} map that never holds a zero.  An input
+    row is reduced only by the pivot rows whose column it holds; its new
+    pivot column is then cleared from the pivot rows that hold it.  The
+    pivot rows stay fully reduced, so fill-in lands only in free columns.
+    Zero rows are only counted, and the others go in sparsest first: the
+    reduced echelon form of a row space is unique, so the order changes
+    the work, not the result.  At full column rank every later row
+    reduces to zero, and the loop stops.
     """
-    mat = [[field(c) for c in row] for row in rows]
-    if ncols is None:
-        if not mat:
-            raise MatrixError("ncols is required for an empty system")
-        ncols = len(mat[0])
-    if any(len(row) != ncols for row in mat):
-        raise MatrixError("ragged rows")
-    echelon = {}  # pivot column -> its reduced row
-    for row in mat:
+    sparse = []
+    nrows = 0
+    width = ncols
+    in_range = None if ncols is None else range(ncols).__contains__
+    for row in rows:
+        nrows += 1
+        if isinstance(row, Mapping):
+            if in_range is None:
+                raise MatrixError("map rows need ncols")
+            if not all(map(in_range, row)):
+                raise MatrixError("map row has a column outside range(%d)"
+                                  % ncols)
+            cells = row.items()
+        else:
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise MatrixError("ragged rows")
+            cells = enumerate(row)
+        entries = {j: field(c) for j, c in cells if c}
+        if entries:
+            sparse.append(entries)
+    if width is None:
+        raise MatrixError("ncols is required for an empty system")
+    ncols = width
+    sparse.sort(key=len)
+    echelon = {}  # pivot column -> its reduced row, pivot coefficient 1
+    for row in sparse:
         if len(echelon) == ncols:
             break
-        for col, prow in echelon.items():
-            factor = row[col]
-            if factor:
-                row = [c - factor * p if p else c for c, p in zip(row, prow)]
-        lead = next((j for j, c in enumerate(row) if c), None)
-        if lead is None:
+        for col in [j for j in row if j in echelon]:
+            _subtract_multiple(row, row[col], echelon[col])
+        if not row:
             continue
+        lead = min(row)
         scale = row[lead].inv()
-        row = [scale * c if c else c for c in row]
-        for col in echelon:
-            prow = echelon[col]
-            factor = prow[lead]
-            if factor:
-                echelon[col] = [c - factor * p if p else c
-                                for c, p in zip(prow, row)]
+        row = {j: scale * c for j, c in row.items()}
+        for prow in echelon.values():
+            factor = prow.get(lead)
+            if factor is not None:
+                _subtract_multiple(prow, factor, row)
         echelon[lead] = row
     pivots = tuple(sorted(echelon))
-    reduced = [tuple(echelon[col]) for col in pivots]
-    reduced += [(field(0),) * ncols] * (len(mat) - len(pivots))
+    zero = field(0)
+    reduced = []
+    for col in pivots:
+        dense = [zero] * ncols
+        for j, c in echelon[col].items():
+            dense[j] = c
+        reduced.append(tuple(dense))
+    reduced += [(zero,) * ncols] * (nrows - len(pivots))
     return tuple(reduced), pivots
 
 
 def field_nullspace(rows, field, ncols):
     """Basis of the right kernel of a constant matrix, one vector per free
-    column of the reduced form."""
+    column of the reduced form.
+
+    ``rows`` takes either form ``field_rref`` does.  Each basis vector is
+    read off the pivot rows of one ``field_rref`` call: 1 at its free
+    column and minus that column of the pivot rows at the pivots.
+    """
     reduced, pivots = field_rref(rows, field, ncols)
     zero = field(0)
     one = field(1)
     basis = []
+    pivot_set = set(pivots)
     for free_col in range(ncols):
-        if free_col in pivots:
+        if free_col in pivot_set:
             continue
         vec = [zero] * ncols
         vec[free_col] = one
         for row_idx, pivot_col in enumerate(pivots):
-            vec[pivot_col] = -reduced[row_idx][free_col]
+            c = reduced[row_idx][free_col]
+            if c:
+                vec[pivot_col] = -c
         basis.append(tuple(vec))
     return basis
 

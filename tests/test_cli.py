@@ -144,6 +144,14 @@ def test_moduli_sample_reports_an_exhausted_budget(capsys):
     assert "budget" in record["detail"]
 
 
+def test_a_negative_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["moduli", "sample", "--lambda", "0,-1",
+                                  "--budget", "-1"])
+    assert code == 2
+    assert not out
+    assert "--budget" in err and ">= 0" in err
+
+
 def test_moduli_act_defaults_to_the_zero_gamma_pencil(capsys):
     code, data = run_json(capsys, ["moduli", "act", "--lambda", "0,-1",
                                    "--kind", "Uk", "--k", "1"])

@@ -1,9 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from fermatmf.field import omega_field
+from fermatmf.field import omega_field, rationals, sextic_field
 from fermatmf.matrix import (
     MatrixError,
     PolyMatrix,
@@ -308,6 +309,94 @@ def test_field_rref_ignores_the_order_of_the_rows():
     for _ in range(5):
         rng.shuffle(rows)
         assert field_rref(rows, F) == (reduced, pivots)
+
+
+def _oracle_rref(rows, field, ncols):
+    """Textbook dense Gauss-Jordan, column by column with row swaps."""
+    mat = [[field(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if hit is None:
+            continue
+        mat[r], mat[hit] = mat[hit], mat[r]
+        inv = mat[r][col].inv()
+        mat[r] = [c * inv for c in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return tuple(tuple(row) for row in mat), tuple(pivots)
+
+
+def _random_scalar(field, rng):
+    value = field(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))))
+    for name in field.names:
+        power = field.gen(name) ** rng.randint(1, 2)
+        value = value + field(rng.randint(-2, 2)) * power
+    return value
+
+
+def _random_system(field, rng):
+    """Dense rows of one seeded system, mixing the shapes that stress the
+    echelon: sparse and dense rows, duplicates, rows that cancel to zero,
+    zero rows and tall full-rank stacks."""
+    ncols = rng.randint(1, 9)
+    density = rng.choice((0.15, 0.4, 0.8, 1.0))
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        if rows and roll < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) >= 2 and roll < 0.3:
+            a, b = rng.sample(rows, 2)
+            s, t = _random_scalar(field, rng), _random_scalar(field, rng)
+            rows.append([s * p + t * q for p, q in zip(a, b)])
+        elif roll < 0.38:
+            rows.append([0] * ncols)
+        else:
+            rows.append([_random_scalar(field, rng) if rng.random() < density
+                         else field(0) for _ in range(ncols)])
+    if rng.random() < 0.2:
+        rows += [[_random_scalar(field, rng) for _ in range(ncols)]
+                 for _ in range(ncols + 3)]
+    return rows, ncols
+
+
+def _as_map(row, rng):
+    # nonzero cells always, zero cells now and then as explicit entries
+    return {j: c for j, c in enumerate(row) if c or rng.random() < 0.3}
+
+
+@pytest.mark.parametrize("make_field, seed", [(rationals, 401),
+                                              (omega_field, 402),
+                                              (sextic_field, 403)])
+def test_field_rref_matches_a_dense_oracle(make_field, seed):
+    field = make_field()
+    rng = random.Random(seed)
+    for _ in range(60):
+        rows, ncols = _random_system(field, rng)
+        expected = _oracle_rref(rows, field, ncols)
+        assert field_rref(rows, field) == expected
+        assert field_rref(rows, field, ncols) == expected
+        maps = [_as_map(row, rng) for row in rows]
+        assert field_rref(maps, field, ncols) == expected
+
+
+def test_field_rref_checks_map_rows():
+    assert field_rref([{}, {2: F(0)}], F, 3) == (((F(0),) * 3,) * 2, ())
+    with pytest.raises(MatrixError):
+        field_rref([{0: 1, 3: 2}], F, 3)
+    with pytest.raises(MatrixError):
+        field_rref([{-1: 1}], F, 3)
+    with pytest.raises(MatrixError):
+        field_rref([{5: 0}], F, 3)
+    with pytest.raises(MatrixError):
+        field_rref([{0: 1}], F)
+    with pytest.raises(MatrixError):
+        field_rref([[1, 2], {0: 1}], F)
 
 
 def test_field_nullspace_kills_the_rows():
