@@ -577,8 +577,10 @@ def _reduction_key(R):
         column = {e: j for j, e in enumerate(support)}
         mat = [{column[e]: c for e, c in poly.terms.items()} for poly in polys]
         reduced, pivots = field_rref(mat, field, len(support))
+        # most cells of the dense pivot rows are zero: print those as "0"
+        # without formatting them
         spans.append((k, tuple(support), pivots,
-                      tuple(tuple(str(c) for c in reduced[row])
+                      tuple(tuple(str(c) if c else "0" for c in reduced[row])
                             for row in range(len(pivots)))))
     return (row_rank, col_rank, tuple(spans))
 

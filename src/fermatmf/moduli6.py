@@ -4,10 +4,12 @@ Expanding the Pfaffian of the pencil over a curve point [a:b:1] and matching
 it against x1^3 + x2^3 + x3^3 + x4^3 yields ten equations in the fifteen
 Gamma parameters.  Six are linear in the Gamma2 entries and admit printed
 closed-form solutions; the other four are the residual system.  This module
-evaluates all ten exactly, solves the linear part in both branches, samples
-certified points deterministically, applies the three group actions,
-carries the pencil between the two curve charts, and splits the pencil into
-3x3 blocks when both skew corners vanish.
+evaluates the equations exactly, each caller only the system it reads: the
+six linear ones, the three residuals solved for the Gamma3 entries, or the
+four residuals of the re-check.  It solves the linear part in both
+branches, samples certified points deterministically, applies the three
+group actions, carries the pencil between the two curve charts, and splits
+the pencil into 3x3 blocks when both skew corners vanish.
 
 Certification is the exact identity Pf(Lambda) = f on the skew pencil; since
 Pf(M)^2 = det(M) for every skew M, it implies det(Lambda) = f^2.  The
@@ -52,21 +54,22 @@ def _affine_field(lam):
 
 
 # -- the ten coefficient equations -----------------------------------------------
+#
+# Each equation is written once, in the system its callers read: the six
+# Gamma2-linear ones (i1-i5, i8), the three residuals the Gamma3 solve
+# reads (i6, i7, i9), and the last residual i10, which is only re-checked.
 
-def equation_values(lam, gamma):
-    """Values of the ten coefficient equations of Pf(Lambda) - f at a point.
-
-    The order is the interreduced one: three Gamma2 traces, two more linear
-    ones mixing in the curve constants, the two quadratic residuals, the
-    sixth linear equation, and the two higher residuals.  A pencil satisfies
-    Pf(Lambda) = f exactly when all ten vanish.
-    """
+def _parameters(lam, gamma):
     field = _affine_field(lam)
     if gamma.field is not field:
         raise ModuliError("gamma and point live over different fields")
-    a, b, e = lam.a, lam.b, lam.e
-    (a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14,
-     a15) = (gamma.a(i) for i in range(1, 16))
+    return lam.a, lam.b, lam.e, gamma.values
+
+
+def _linear_values(lam, gamma):
+    """The six equations linear in the Gamma2 entries: i1-i5 and i8."""
+    a, b, e, (_, _, _, _, _, _, a7, a8, a9, a10, a11, a12, a13, a14,
+              a15) = _parameters(lam, gamma)
     i1 = a9 - a11 + a13
     i2 = a8 + a10 - a15
     i3 = a7 + a12 + a14
@@ -74,49 +77,70 @@ def equation_values(lam, gamma):
           - 2 * a * a15 + a10 + a15)
     i5 = (2 * e * a10 + 2 * b * a11 - 2 * a * a12 - b * a13 - a * a14
           - e * a15 + a12 + 2 * a14)
+    i8 = (2 * e * e * a12 + 2 * a * b * a12 - 3 * b * b * a13
+          + 2 * e * e * a14 - a * b * a14 - 3 * e * b * a15 - 6 * e * a11
+          - b * a12 + 12 * e * a13 + 2 * b * a14 - 6 * a * a15)
+    return (i1, i2, i3, i4, i5, i8)
+
+
+def _gamma3_residuals(lam, gamma):
+    """The residuals i6, i7 and i9, which _solve_gamma3 solves.
+
+    They do not involve the curve point, and with the other entries fixed
+    they are affine-linear in the Gamma3 entries (a4, a5, a6).
+    """
+    _, _, _, (a1, a2, a3, a4, a5, a6, _, _, _, a10, a11, a12, a13, a14,
+              a15) = _parameters(lam, gamma)
     i6 = (a3 * a4 - a2 * a5 + a1 * a6 + a11 * a11 + a10 * a12 - a11 * a13
           + a13 * a13 - a10 * a14 - 2 * a12 * a15 - a14 * a15)
     i7 = (a1 * a4 + a3 * a5 + a2 * a6 - a10 * a10 + a11 * a12 + a12 * a13
           + 2 * a11 * a14 - a13 * a14 + a10 * a15 - a15 * a15)
-    i8 = (2 * e * e * a12 + 2 * a * b * a12 - 3 * b * b * a13
-          + 2 * e * e * a14 - a * b * a14 - 3 * e * b * a15 - 6 * e * a11
-          - b * a12 + 12 * e * a13 + 2 * b * a14 - 6 * a * a15)
     i9 = (a3 * a5 * a10 - a2 * a6 * a10 - a2 * a5 * a11 - a1 * a6 * a11
           + a1 * a5 * a12 + a3 * a6 * a12 - a2 * a5 * a13
           + 2 * a1 * a6 * a13 + a13 ** 3 + a2 * a4 * a14 + a3 * a6 * a14
           + a10 * a11 * a14 + a12 * a12 * a14 - 2 * a10 * a13 * a14
           + a12 * a14 * a14 + a3 * a5 * a15 + 2 * a2 * a6 * a15
           + a11 * a14 * a15 - 2 * a13 * a14 * a15 - a15 ** 3 - 1)
-    i10 = (2 * e * a2 * a4 - 2 * e * a1 * a5 + 2 * b * a2 * a5
-           - 2 * a * a3 * a5 + 2 * b * a1 * a6 - 4 * a * a2 * a6
-           - 2 * b * a11 * a11 + 2 * a * a11 * a12 + 2 * e * a12 * a12
-           + 5 * b * a11 * a13 - 4 * a * a12 * a13 - 2 * b * a13 * a13
-           - 2 * b * a10 * a14 - a * a11 * a14 + 2 * a * a13 * a14
-           - 2 * e * a14 * a14 + 3 * e * a11 * a15 - 6 * e * a13 * a15
-           - 2 * b * a14 * a15 + 6 * a * a15 * a15 + 4 * a3 * a5
-           + 2 * a2 * a6 - a11 * a12 + 2 * a12 * a13 + 2 * a11 * a14
-           - 4 * a13 * a14 - 6 * a15 * a15)
-    return (i1, i2, i3, i4, i5, i6, i7, i8, i9, i10)
+    return (i6, i7, i9)
 
 
-_LINEAR_SLOTS = (0, 1, 2, 3, 4, 7)
-_RESIDUAL_SLOTS = (5, 6, 8, 9)
-
-
-def _linear_values(lam, gamma):
-    vals = equation_values(lam, gamma)
-    return tuple(vals[i] for i in _LINEAR_SLOTS)
+def _last_residual(lam, gamma):
+    """The residual i10: no solve reads it, only the exact re-checks do."""
+    a, b, e, (a1, a2, a3, a4, a5, a6, _, _, _, a10, a11, a12, a13, a14,
+              a15) = _parameters(lam, gamma)
+    return (2 * e * a2 * a4 - 2 * e * a1 * a5 + 2 * b * a2 * a5
+            - 2 * a * a3 * a5 + 2 * b * a1 * a6 - 4 * a * a2 * a6
+            - 2 * b * a11 * a11 + 2 * a * a11 * a12 + 2 * e * a12 * a12
+            + 5 * b * a11 * a13 - 4 * a * a12 * a13 - 2 * b * a13 * a13
+            - 2 * b * a10 * a14 - a * a11 * a14 + 2 * a * a13 * a14
+            - 2 * e * a14 * a14 + 3 * e * a11 * a15 - 6 * e * a13 * a15
+            - 2 * b * a14 * a15 + 6 * a * a15 * a15 + 4 * a3 * a5
+            + 2 * a2 * a6 - a11 * a12 + 2 * a12 * a13 + 2 * a11 * a14
+            - 4 * a13 * a14 - 6 * a15 * a15)
 
 
 def residual_equations(lam, gamma):
-    """The four residual equation values at (lam, gamma).
+    """The four residual equation values (i6, i7, i9, i10) at (lam, gamma).
 
     Together with the six linear equations these vanish exactly when
     Pf(Lambda) = f.  At gamma = 0 the last-but-one value is -1: the x4^3
     slot of the expansion never vanishes without Gamma2.
     """
-    vals = equation_values(lam, gamma)
-    return tuple(vals[i] for i in _RESIDUAL_SLOTS)
+    return _gamma3_residuals(lam, gamma) + (_last_residual(lam, gamma),)
+
+
+def equation_values(lam, gamma):
+    """Values of the ten coefficient equations of Pf(Lambda) - f at a point.
+
+    The order is the interreduced one: three Gamma2 traces, two more linear
+    ones mixing in the curve constants, the two quadratic residuals, the
+    sixth linear equation, and the two higher residuals.  A pencil satisfies
+    Pf(Lambda) = f exactly when all ten vanish.  The values are those of
+    _linear_values and residual_equations, interleaved in that order.
+    """
+    i1, i2, i3, i4, i5, i8 = _linear_values(lam, gamma)
+    i6, i7, i9, i10 = residual_equations(lam, gamma)
+    return (i1, i2, i3, i4, i5, i6, i7, i8, i9, i10)
 
 
 # -- the linear system in the Gamma2 entries -------------------------------------
@@ -282,16 +306,18 @@ def _structured_gamma2(lam):
 
 
 def _solve_gamma3(lam, corner, gamma2):
-    """A particular (a4, a5, a6) killing the first three residuals, or None.
+    """A particular (a4, a5, a6) killing the residuals i6, i7, i9, or None.
 
     With everything else fixed the residual system is affine-linear in the
-    Gamma3 entries; the first three equations are solved with free unknowns
-    pinned to zero and the caller re-checks all four on the assembled block.
+    Gamma3 entries.  Only those three residuals are evaluated, at the base
+    point and the three unit points; they are solved with free unknowns
+    pinned to zero, and the caller re-checks all four residuals on the
+    assembled block.
     """
     field = lam.field
     def residuals(a4, a5, a6):
         gamma = GammaBlock(field, corner + (a4, a5, a6) + gamma2)
-        return residual_equations(lam, gamma)[:3]
+        return _gamma3_residuals(lam, gamma)
 
     base = residuals(0, 0, 0)
     units = (residuals(1, 0, 0), residuals(0, 1, 0), residuals(0, 0, 1))
@@ -315,9 +341,9 @@ def sample_moduli_point(lam, seed, budget):
     Odd attempts draw three free values as well and take the Gamma2 block
     from gamma2_solve; even attempts cycle through the structured catalog
     blocks, which certify whenever the residual solve goes through.  Each
-    candidate solves three residual equations for (a4, a5, a6), checks the
-    fourth, and is certified exactly before being returned.  Exhausting the
-    budget returns None.
+    candidate solves the residuals i6, i7, i9 for (a4, a5, a6), re-checks
+    all four residuals exactly, and is certified by Pf = f before being
+    returned.  Exhausting the budget returns None.
     """
     field = _affine_field(lam)
     rng = random.Random(seed)

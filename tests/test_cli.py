@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -108,6 +109,34 @@ def test_equiv_reports_are_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, ["equiv"] + argv + ["--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lam, digest", [
+    ("--lambda=0,-1",
+     "302976a4fa85e06250edd0424d5f049679bcac7d8402f993192bd7ef97d3097b"),
+    ("--lambda=-w,0",
+     "1c708c33600ea9f99c8f8adabd688090dc96fc16c0bd9f96e815e9892a916b5d"),
+], ids=["lambda_0_-1", "lambda_-w_0"])
+def test_moduli_sample_reports_are_byte_identical(capsys, lam, digest):
+    # golden sha256 of the JSON reports for seeds 1-10, one after another:
+    # any change to a sampled block or to the order of the search shows up
+    reports = []
+    for seed in range(1, 11):
+        code, out, _ = run(capsys, ["moduli", "sample", lam, "--seed",
+                                    str(seed), "--budget", "1000",
+                                    "--format", "json"])
+        assert code == 0
+        reports.append(out)
+    assert hashlib.sha256("".join(reports).encode()).hexdigest() == digest
+
+
+def test_the_sextic_moduli_solve_report_is_byte_identical(capsys):
+    code, out, _ = run(capsys, ["moduli", "solve", "--field", "sextic",
+                                "--lambda", "1,g*w", "--free", "1,-2,3",
+                                "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bcdc79fa4d7b8196d7e025d83f639f6cd3553863ed3465d84a066e47cdffd0a7")
 
 
 def test_moduli_solve_prints_the_printed_solution(capsys):
@@ -240,3 +269,29 @@ def test_a_closed_pipe_exits_quietly(monkeypatch, tmp_path, capsys):
         os.close(fd)
     assert code == 1
     assert not capsys.readouterr().err
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def run_module(args):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-m"] + args, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_cli_module_runs_as_a_script():
+    done = run_module(["fermatmf.cli", "moduli", "sample", "--lambda", "0,-1",
+                       "--budget", "-1"])
+    assert done.returncode == 2
+    assert not done.stdout
+    assert "expected an integer >= 0" in done.stderr
+
+
+def test_the_package_runs_as_a_script(capsys):
+    argv = ["enumerate", "--catalog", "rank2_3gen", "--format", "json"]
+    done = run_module(["fermatmf"] + argv)
+    code, out, _ = run(capsys, argv)
+    assert done.returncode == code == 0
+    assert done.stdout == out

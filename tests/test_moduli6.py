@@ -1,5 +1,9 @@
 """Tests for the 6x6 pencil layer: equations, sampling, actions, splitting."""
 
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 
 import fermatmf.moduli6 as moduli6
@@ -148,6 +152,57 @@ def test_the_equations_track_the_pfaffian():
     bumped = GammaBlock(F, values)
     assert any(equation_values(LAM, bumped))
     assert pfaffian(build_six_gen(LAM, bumped)) != FQ
+
+
+# Seeded blocks at [0:-1:1] and [-w:0:1] over Q(w) and the sextic tower, and
+# at the self-dual points [1:g*w^k:1]; each coefficient over the basis
+# w^i*g^j is drawn with zeros and fractions among the values.
+_DRAWS = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _basis(field):
+    basis = [field(1)]
+    for name, modulus in field.levels:
+        gen = field.gen(name)
+        basis = [b * gen ** k for k in range(len(modulus) - 1) for b in basis]
+    return basis
+
+
+def _seeded_cases():
+    omega, sextic = omega_field(), sextic_field()
+    points = [CurvePoint.affine(field, a, b)
+              for field in (omega, sextic)
+              for a, b in ((0, -1), (-field.gen("w"), 0))]
+    g, w = sextic.gen("g"), sextic.gen("w")
+    points += [CurvePoint.affine(sextic, 1, g * w ** k) for k in range(3)]
+    rng = random.Random(909)
+    cases = []
+    for lam in points:
+        field = lam.field
+        basis = _basis(field)
+        for _ in range(30):
+            values = [sum((rng.choice(_DRAWS) * b for b in basis), field(0))
+                      if rng.random() < 0.8 else 0 for _ in range(15)]
+            cases.append((lam, GammaBlock(field, values)))
+    return cases
+
+
+# sha256 over repr(equation_values(...)) of every seeded case, one per line
+_EQUATIONS_DIGEST = (
+    "58ebfd531576670b1f4797073b276cf555234a153d49d8702a5b2c7c9a39dbdf")
+
+
+def test_the_equation_systems_are_slices_of_the_ten_equations():
+    lines = []
+    for lam, gamma in _seeded_cases():
+        values = equation_values(lam, gamma)
+        assert residual_equations(lam, gamma) == tuple(
+            values[i] for i in (5, 6, 8, 9))
+        assert moduli6._linear_values(lam, gamma) == tuple(
+            values[i] for i in (0, 1, 2, 3, 4, 7))
+        lines.append(repr(values))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _EQUATIONS_DIGEST
 
 
 # -- certified points and sampling -----------------------------------------------
