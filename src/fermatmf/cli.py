@@ -279,27 +279,15 @@ def _cmd_moduli_act(args):
     return report
 
 
-def _cmd_pfaffian(args):
+def _cmd_evaluate(args):
     field = _field_of(args)
-    report = Report("pfaffian")
+    report = Report(args.command)
     mat = _read_matrix(field, args.matrix)
     try:
-        value = pfaffian(mat)
+        value = args.evaluate(mat)
     except MatrixError as err:
         raise _UsageError(str(err))
-    report.add("input matrix", "pfaffian", "pass", value=str(value))
-    return report
-
-
-def _cmd_det(args):
-    field = _field_of(args)
-    report = Report("det")
-    mat = _read_matrix(field, args.matrix)
-    try:
-        value = determinant(mat)
-    except MatrixError as err:
-        raise _UsageError(str(err))
-    report.add("input matrix", "det", "pass", value=str(value))
+    report.add("input matrix", args.command, "pass", value=str(value))
     return report
 
 
@@ -309,8 +297,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--field", choices=sorted(_FIELDS), default="omega")
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--budget", type=_budget, default=100)
 
     parser = argparse.ArgumentParser(
         prog="fermatmf",
@@ -349,6 +335,8 @@ def _build_parser():
     p = msub.add_parser("sample", parents=[common],
                         help="search for a certified moduli point")
     p.add_argument("--lambda", dest="lam", metavar="A,B")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--budget", type=_budget, default=100)
     p.set_defaults(handler=_cmd_moduli_sample)
 
     p = msub.add_parser("act", parents=[common],
@@ -362,19 +350,40 @@ def _build_parser():
                         "defaults to the zero-Gamma pencil")
     p.set_defaults(handler=_cmd_moduli_act)
 
-    for name, handler in (("pfaffian", _cmd_pfaffian), ("det", _cmd_det)):
+    for name, evaluate in (("pfaffian", pfaffian), ("det", determinant)):
         p = sub.add_parser(name, parents=[common],
                            help="evaluate on a matrix read from file or stdin")
         p.add_argument("--matrix", default="-", metavar="PATH")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_evaluate, evaluate=evaluate)
 
     return parser
 
 
+# options whose value may be a negative field literal such as -w,0
+_SIGNED_OPTIONS = ("--lambda", "--free", "--coeffs", "--k")
+
+
+def _join_signed_values(argv):
+    """Write ``--lambda -w,0`` as ``--lambda=-w,0``, and so for every option
+    in _SIGNED_OPTIONS, so that argparse does not read a value that starts
+    with a single ``-`` as an option.  A following ``--option`` is left
+    alone, so ``--lambda`` without a value stays a usage error."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _SIGNED_OPTIONS \
+                and arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None):
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.handler is None:

@@ -7,6 +7,13 @@ block together with its transport matrices.  Constructors validate their
 parameters eagerly and certify the factorization identity before returning;
 a print discrepancy that breaks phi*psi = f*Id is treated as a defect of the
 source display, fixed here, and documented in ERRATA.md.
+
+The sigma families all rest on one splitting f = w1*v1 + w2*v2 with
+v_t = v_t'*v_t''.  A family that relabels another one's display is written
+as a row of slot names, not as a second display: the 4x4 sigma display
+``_sigma_4x4`` serves phi_t/psi_t for t = 1..4 (``_NONORIENTABLE_SLOTS``)
+and the orientable phi_sigma/psi_sigma, and the 5x5 ``_mu_5x5`` serves
+mu/nu and mubar/nubar (``_MU_SLOTS``).
 """
 
 from __future__ import annotations
@@ -401,13 +408,18 @@ def building_blocks(sigma, r):
     return forms
 
 
+def _split(var, coeff, unit):
+    """The pair (var - coeff*unit, var^2 + coeff*var*unit + coeff^2*unit^2),
+    whose product is var^3 - coeff^3*unit^3."""
+    return (var - coeff * unit,
+            var * var + coeff * var * unit + (coeff * coeff) * unit * unit)
+
+
 def _sigma_forms(sigma, field, a, b, u):
     x = _variables(field)
     x1, xi, xj, xs = x[0], x[sigma.i - 1], x[sigma.j - 1], x[sigma.s - 1]
-    w1 = x1 - a * xs
-    w2 = xi - b * xj
-    v1 = x1 * x1 + a * x1 * xs + (a * a) * xs * xs
-    v2 = xi * xi + b * xi * xj + (b * b) * xj * xj
+    w1, v1 = _split(x1, a, xs)
+    w2, v2 = _split(xi, b, xj)
     v1p = x1 - (u * a) * xs
     v1pp = x1 + ((1 + u) * a) * xs
     v2p = xi - (u * b) * xj
@@ -425,28 +437,30 @@ def point_forms(lam):
     always f = p1*q1 + p2*q2 + p3*q3."""
     field = lam.field
     x1, x2, x3, x4 = _variables(field)
-
-    def pair(var, coeff, unit):
-        p = var - coeff * unit
-        q = var * var + coeff * var * unit + (coeff * coeff) * unit * unit
-        return p, q
-
     l = lam.coords
     if lam.chart == 4:
-        p1, q1 = pair(x1, l[0], x4)
-        p2, q2 = pair(x2, l[1], x4)
-        p3, q3 = pair(x3, l[2], x4)
+        p1, q1 = _split(x1, l[0], x4)
+        p2, q2 = _split(x2, l[1], x4)
+        p3, q3 = _split(x3, l[2], x4)
     elif lam.chart == 3:
-        p1, q1 = pair(x1, l[0], x3)
-        p2, q2 = pair(x2, l[1], x3)
+        p1, q1 = _split(x1, l[0], x3)
+        p2, q2 = _split(x2, l[1], x3)
         p3, q3 = x4, x4 * x4
     else:
-        p1, q1 = pair(x1, l[0], x2)
+        p1, q1 = _split(x1, l[0], x2)
         p2, q2 = x3, x3 * x3
         p3, q3 = x4, x4 * x4
     if p1 * q1 + p2 * q2 + p3 * q3 != fermat_cubic(field):
         raise FamilyError("splitting identity sum(p_i*q_i) = f failed")
     return FormSet(field, p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, q3=q3)
+
+
+def _fill(sigma, fs, names):
+    """The forms a slot row names: FormSet slots, and the variables x_j, x_s
+    of sigma as "xj", "xs"."""
+    x = _variables(fs.field)
+    named = {"xj": x[sigma.j - 1], "xs": x[sigma.s - 1]}
+    return [named[n] if n in named else getattr(fs, n) for n in names]
 
 
 # -- three-generated families ----------------------------------------------------
@@ -538,12 +552,32 @@ def build_curve_alpha(lam):
 
 # -- orientable four-generated families ------------------------------------------
 
+def _sigma_4x4(field, w1, w2, v1, v2, v2p, v2pp, x):
+    """The 4x4 sigma display (phi, psi) on a splitting f = w1*v1 + w2*v2 with
+    v2 = v2p*v2pp; the slot x is free, since it cancels from phi*psi."""
+    phi = PolyMatrix(field, [
+        [0, w1, -v2pp, 0],
+        [-w1, 0, -x, w2],
+        [v2, x * v2p, 0, v1],
+        [0, -w2 * v2p, -v1, 0],
+    ])
+    psi = PolyMatrix(field, [
+        [0, -v1, w2, x],
+        [v1, 0, 0, -v2pp],
+        [-w2 * v2p, 0, 0, -w1],
+        [-x * v2p, v2, w1, 0],
+    ])
+    return phi, psi
+
+
 def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
     """The skew 4x4 pairs: phi_lambda/psi_lambda from a surface point, or
     phi_sigma/psi_sigma from sigma-data.
 
-    The beta slot of the sigma pair defaults to x_j*x_s, the normal form of
-    the catalog; a custom polynomial may be substituted for experimentation.
+    The sigma pair is the 4x4 sigma display with v2 unsplit (v2' = 1,
+    v2'' = v2) and beta in its free slot.  beta defaults to x_j*x_s, the
+    normal form of the catalog; a custom polynomial may be substituted for
+    experimentation.
     """
     if kind in ("phi_lambda", "psi_lambda"):
         if lam is None:
@@ -574,19 +608,8 @@ def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
             beta = x[sigma.j - 1] * x[sigma.s - 1]
         elif not isinstance(beta, Polynomial):
             beta = Polynomial.constant(field, field(beta))
-        w1, w2, v1, v2 = fs.w1, fs.w2, fs.v1, fs.v2
-        phi = PolyMatrix(field, [
-            [0, w1, -v2, 0],
-            [-w1, 0, -beta, w2],
-            [v2, beta, 0, v1],
-            [0, -w2, -v1, 0],
-        ])
-        psi = PolyMatrix(field, [
-            [0, -v1, w2, beta],
-            [v1, 0, 0, -v2],
-            [-w2, 0, 0, -w1],
-            [-beta, v2, w1, 0],
-        ])
+        phi, psi = _sigma_4x4(field, fs.w1, fs.w2, fs.v1, fs.v2, 1, fs.v2,
+                              beta)
     else:
         raise FamilyError("unknown orientable 4x4 kind %r" % (kind,))
     if kind.startswith("psi"):
@@ -596,71 +619,31 @@ def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
 
 # -- non-orientable four-generated families --------------------------------------
 
+# the forms filling the slots (w1, w2, v1, v2, v2', v2'', x) of _sigma_4x4,
+# per t: t = 2 swaps the two summands of f = w1*v1 + w2*v2, and t = 3, 4
+# are t = 1, 2 with the slots w1, v1 exchanged and v2', v2'' swapped
+_NONORIENTABLE_SLOTS = {
+    1: ("w1", "w2", "v1", "v2", "v2p", "v2pp", "xs"),
+    2: ("w2", "w1", "v2", "v1", "v1pp", "v1p", "xj"),
+    3: ("v1", "w2", "w1", "v2", "v2pp", "v2p", "xs"),
+    4: ("v2", "w1", "w2", "v1", "v1p", "v1pp", "xj"),
+}
+
+
 def build_nonorientable_4gen(t, kind, sigma, r):
     """The pair (phi_t_sigma, psi_t_sigma) for t = 1..4; kind selects which of
-    the two is returned as the primary matrix."""
+    the two is returned as the primary matrix.
+
+    All four are the one 4x4 sigma display, filled with the forms that
+    ``_NONORIENTABLE_SLOTS`` names for t.
+    """
     if t not in (1, 2, 3, 4):
         raise FamilyError("t must be 1..4, got %r" % (t,))
     if kind not in ("phi", "psi"):
         raise FamilyError("kind must be 'phi' or 'psi', got %r" % (kind,))
     fs = building_blocks(sigma, r)
     field = r.field
-    x = _variables(field)
-    xj, xs = x[sigma.j - 1], x[sigma.s - 1]
-    w1, w2, v1, v2 = fs.w1, fs.w2, fs.v1, fs.v2
-    v1p, v1pp, v2p, v2pp = fs.v1p, fs.v1pp, fs.v2p, fs.v2pp
-    if t == 1:
-        phi = PolyMatrix(field, [
-            [0, w1, -v2pp, 0],
-            [-w1, 0, -xs, w2],
-            [v2, xs * v2p, 0, v1],
-            [0, -w2 * v2p, -v1, 0],
-        ])
-        psi = PolyMatrix(field, [
-            [0, -v1, w2, xs],
-            [v1, 0, 0, -v2pp],
-            [-w2 * v2p, 0, 0, -w1],
-            [-xs * v2p, v2, w1, 0],
-        ])
-    elif t == 2:
-        phi = PolyMatrix(field, [
-            [0, w2, -v1p, 0],
-            [-w2, 0, -xj, w1],
-            [v1, xj * v1pp, 0, v2],
-            [0, -w1 * v1pp, -v2, 0],
-        ])
-        psi = PolyMatrix(field, [
-            [0, -v2, w1, xj],
-            [v2, 0, 0, -v1p],
-            [-w1 * v1pp, 0, 0, -w2],
-            [-xj * v1pp, v1, w2, 0],
-        ])
-    elif t == 3:
-        phi = PolyMatrix(field, [
-            [0, v1, -v2p, 0],
-            [-v1, 0, -xs, w2],
-            [v2, xs * v2pp, 0, w1],
-            [0, -w2 * v2pp, -w1, 0],
-        ])
-        psi = PolyMatrix(field, [
-            [0, -w1, w2, xs],
-            [w1, 0, 0, -v2p],
-            [-w2 * v2pp, 0, 0, -v1],
-            [-xs * v2pp, v2, v1, 0],
-        ])
-    else:
-        phi = PolyMatrix(field, [
-            [0, v2, -v1pp, 0],
-            [-v2, 0, -xj, w1],
-            [v1, xj * v1p, 0, w2],
-            [0, -w1 * v1p, -w2, 0],
-        ])
-        psi = PolyMatrix(field, [
-            [0, -w2, w1, xj],
-            [w2, 0, 0, -v1pp],
-            [-w1 * v1p, 0, 0, -v2],
-            [-xj * v1p, v1, v2, 0],
-        ])
+    phi, psi = _sigma_4x4(field, *_fill(sigma, fs, _NONORIENTABLE_SLOTS[t]))
     if kind == "psi":
         phi, psi = psi, phi
     return _certify(phi, psi, fermat_cubic(field),
@@ -669,102 +652,101 @@ def build_nonorientable_4gen(t, kind, sigma, r):
 
 # -- five-generated families -----------------------------------------------------
 
+def _mu_5x5(field, w1, w2, v1, v2, v1p, v1pp, v2p, v2pp, x):
+    """The normalized 5x5 mu display (phi, psi) on a splitting
+    f = w1*v1 + w2*v2 with v1 = v1p*v1pp and v2 = v2p*v2pp."""
+    phi = PolyMatrix(field, [
+        [0, w1, v2pp, 0, 0],
+        [-v1p, w2, 0, 0, x],
+        [v2p, 0, -v1pp, x, 0],
+        [0, 0, 0, -v1p, -v2p],
+        [0, 0, 0, w2 * v2pp, -v1pp * w1],
+    ])
+    psi = PolyMatrix(field, [
+        [v1pp * w2, -v1pp * w1, v2pp * w2, 0, -x],
+        [v1, v2, v2pp * v1p, x * v2pp, 0],
+        [v2p * w2, -v2p * w1, -v1p * w1, -x * w1, 0],
+        [0, 0, 0, -v1pp * w1, v2p],
+        [0, 0, 0, -v2pp * w2, -v1p],
+    ])
+    return phi, psi
+
+
+# the forms filling the slots (w1, w2, v1, v2, v1', v1'', v2', v2'', x) of
+# _mu_5x5: mubar is mu with the two summands of f = w1*v1 + w2*v2 swapped
+_MU_SLOTS = {
+    "mu": ("w1", "w2", "v1", "v2", "v1p", "v1pp", "v2p", "v2pp", "xj"),
+    "mubar": ("w2", "w1", "v2", "v1", "v2pp", "v2p", "v1pp", "v1p", "xs"),
+}
+
+
 def build_5gen(kind, sigma, r, normalized=True):
     """The 5x5 pairs: rho/omega, mu/nu, mubar/nubar.
 
     ``normalized`` selects the final displays; with ``normalized=False`` the
     un-normalized pairs rho1/omega1 and mu1/nu1 are produced instead (there
     is no un-normalized mubar display, so that combination is rejected).
-    Both omega variants carry +w1*v2'' in their [3,2] entry; the sign is
-    forced by the product identity (see ERRATA.md).
+    The normalized mu and mubar pairs are the one mu display, filled with
+    the forms that ``_MU_SLOTS`` names.  Both omega variants carry
+    +w1*v2'' in their [3,2] entry; the sign is forced by the product
+    identity (see ERRATA.md).
     """
     if kind not in ("rho", "mu", "mubar"):
         raise FamilyError("kind must be rho, mu or mubar, got %r" % (kind,))
     fs = building_blocks(sigma, r)
     field = r.field
-    x = _variables(field)
-    xj, xs = x[sigma.j - 1], x[sigma.s - 1]
+    if kind == "mubar" and not normalized:
+        raise FamilyError("mubar has no un-normalized display")
+    xj = _variables(field)[sigma.j - 1]
     w1, w2, v1, v2 = fs.w1, fs.w2, fs.v1, fs.v2
     v1p, v1pp, v2p, v2pp = fs.v1p, fs.v1pp, fs.v2p, fs.v2pp
-    if normalized:
-        if kind == "rho":
-            phi = PolyMatrix(field, [
-                [0, w1, -v2p, -xj, 0],
-                [v1p, w2, 0, 0, -xj * v1pp],
-                [-v2pp, 0, v1pp, 0, 0],
-                [0, 0, 0, v1p, v2],
-                [0, 0, 0, -w2, w1 * v1pp],
-            ])
-            psi = PolyMatrix(field, [
-                [-w2 * v1pp, w1 * v1pp, -w2 * v2p, 0, xj * v1pp],
-                [v1, v2, v1p * v2p, xj * v1pp, 0],
-                [-w2 * v2pp, w1 * v2pp, w1 * v1p, 0, xj * v2pp],
-                [0, 0, 0, w1 * v1pp, -v2],
-                [0, 0, 0, w2, v1p],
-            ])
-        elif kind == "mu":
-            phi = PolyMatrix(field, [
-                [0, w1, v2pp, 0, 0],
-                [-v1p, w2, 0, 0, xj],
-                [v2p, 0, -v1pp, xj, 0],
-                [0, 0, 0, -v1p, -v2p],
-                [0, 0, 0, w2 * v2pp, -v1pp * w1],
-            ])
-            psi = PolyMatrix(field, [
-                [v1pp * w2, -v1pp * w1, v2pp * w2, 0, -xj],
-                [v1, v2, v2pp * v1p, xj * v2pp, 0],
-                [v2p * w2, -v2p * w1, -v1p * w1, -xj * w1, 0],
-                [0, 0, 0, -v1pp * w1, v2p],
-                [0, 0, 0, -v2pp * w2, -v1p],
-            ])
-        else:
-            phi = PolyMatrix(field, [
-                [0, w2, v1p, 0, 0],
-                [-v2pp, w1, 0, 0, xs],
-                [v1pp, 0, -v2p, xs, 0],
-                [0, 0, 0, -v2pp, -v1pp],
-                [0, 0, 0, w1 * v1p, -v2p * w2],
-            ])
-            psi = PolyMatrix(field, [
-                [v2p * w1, -v2p * w2, v1p * w1, 0, -xs],
-                [v2, v1, v1p * v2pp, xs * v1p, 0],
-                [v1pp * w1, -v1pp * w2, -v2pp * w2, -xs * w2, 0],
-                [0, 0, 0, -v2p * w2, v1pp],
-                [0, 0, 0, -v1p * w1, -v2pp],
-            ])
+    if kind != "rho" and normalized:
+        phi, psi = _mu_5x5(field, *_fill(sigma, fs, _MU_SLOTS[kind]))
+    elif normalized:
+        phi = PolyMatrix(field, [
+            [0, w1, -v2p, -xj, 0],
+            [v1p, w2, 0, 0, -xj * v1pp],
+            [-v2pp, 0, v1pp, 0, 0],
+            [0, 0, 0, v1p, v2],
+            [0, 0, 0, -w2, w1 * v1pp],
+        ])
+        psi = PolyMatrix(field, [
+            [-w2 * v1pp, w1 * v1pp, -w2 * v2p, 0, xj * v1pp],
+            [v1, v2, v1p * v2p, xj * v1pp, 0],
+            [-w2 * v2pp, w1 * v2pp, w1 * v1p, 0, xj * v2pp],
+            [0, 0, 0, w1 * v1pp, -v2],
+            [0, 0, 0, w2, v1p],
+        ])
+    elif kind == "rho":
+        phi = PolyMatrix(field, [
+            [0, -v2pp, -v2p, w1, 0],
+            [v1p, 0, 0, w2, -v2pp * v1pp],
+            [-v2pp, 0, v1pp, 0, 0],
+            [0, v1p, 0, 0, v2],
+            [0, -w2, 0, 0, w1 * v1pp],
+        ])
+        psi = PolyMatrix(field, [
+            [-w2 * v1pp, w1 * v1pp, -w2 * v2p, 0, v1pp * v2pp],
+            [0, 0, 0, w1 * v1pp, -v2],
+            [-w2 * v2pp, w1 * v2pp, w1 * v1p, 0, v2pp * v2pp],
+            [v1, v2, v1p * v2p, v1pp * v2pp, 0],
+            [0, 0, 0, w2, v1p],
+        ])
     else:
-        if kind == "rho":
-            phi = PolyMatrix(field, [
-                [0, -v2pp, -v2p, w1, 0],
-                [v1p, 0, 0, w2, -v2pp * v1pp],
-                [-v2pp, 0, v1pp, 0, 0],
-                [0, v1p, 0, 0, v2],
-                [0, -w2, 0, 0, w1 * v1pp],
-            ])
-            psi = PolyMatrix(field, [
-                [-w2 * v1pp, w1 * v1pp, -w2 * v2p, 0, v1pp * v2pp],
-                [0, 0, 0, w1 * v1pp, -v2],
-                [-w2 * v2pp, w1 * v2pp, w1 * v1p, 0, v2pp * v2pp],
-                [v1, v2, v1p * v2p, v1pp * v2pp, 0],
-                [0, 0, 0, w2, v1p],
-            ])
-        elif kind == "mu":
-            phi = PolyMatrix(field, [
-                [v2pp, 0, 0, 0, w1],
-                [0, v2pp, -v1p, 0, w2],
-                [-v1pp, 0, v2p, v2pp, 0],
-                [0, -v2p, 0, -v1p, 0],
-                [0, -v1pp * w1, 0, w2 * v2pp, 0],
-            ])
-            psi = PolyMatrix(field, [
-                [v2p * w2, -v2p * w1, -v1p * w1, -v2pp * w1, 0],
-                [0, 0, 0, -v2pp * w2, -v1p],
-                [v1pp * w2, -v1pp * w1, w2 * v2pp, 0, -v2pp],
-                [0, 0, 0, -v1pp * w1, v2p],
-                [v1, v2, v2pp * v1p, v2pp * v2pp, 0],
-            ])
-        else:
-            raise FamilyError("mubar has no un-normalized display")
+        phi = PolyMatrix(field, [
+            [v2pp, 0, 0, 0, w1],
+            [0, v2pp, -v1p, 0, w2],
+            [-v1pp, 0, v2p, v2pp, 0],
+            [0, -v2p, 0, -v1p, 0],
+            [0, -v1pp * w1, 0, w2 * v2pp, 0],
+        ])
+        psi = PolyMatrix(field, [
+            [v2p * w2, -v2p * w1, -v1p * w1, -v2pp * w1, 0],
+            [0, 0, 0, -v2pp * w2, -v1p],
+            [v1pp * w2, -v1pp * w1, w2 * v2pp, 0, -v2pp],
+            [0, 0, 0, -v1pp * w1, v2p],
+            [v1, v2, v2pp * v1p, v2pp * v2pp, 0],
+        ])
     return _certify(phi, psi, fermat_cubic(field),
                     "%s%s" % (kind, "" if normalized else "1"))
 

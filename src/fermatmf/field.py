@@ -407,34 +407,39 @@ def _fmt_value(field, v, k):
     terms = []
     for power in range(degree - 1, -1, -1):
         c = v[power * stride:(power + 1) * stride]
-        if not any(c):
-            continue
-        cs = _fmt_value(field, c, k - 1)
-        if power == 0:
-            terms.append(cs)
-            continue
-        gen_part = "*".join([name] * power)
-        if cs == "1":
-            terms.append(gen_part)
+        if any(c):
+            terms.append((_fmt_value(field, c, k - 1),
+                          "*".join([name] * power)))
+    return format_sum(terms)
+
+
+def format_sum(terms):
+    """Join (coefficient, atom) string pairs into one signed sum, as field
+    elements and polynomials print: an empty atom leaves the bare
+    coefficient, a coefficient 1 or -1 leaves the atom or its negation, a
+    coefficient that is a sum or difference goes in parentheses, and a
+    leading minus becomes the separator.  No terms print as 0."""
+    pieces = []
+    for cs, atom in terms:
+        if not atom:
+            pieces.append(cs)
+        elif cs == "1":
+            pieces.append(atom)
         elif cs == "-1":
-            terms.append("-" + gen_part)
-        elif _needs_parens(cs):
-            terms.append("(" + cs + ")*" + gen_part)
+            pieces.append("-" + atom)
+        elif "+" in cs or "-" in cs[1:]:
+            pieces.append("(" + cs + ")*" + atom)
         else:
-            terms.append(cs + "*" + gen_part)
-    if not terms:
+            pieces.append(cs + "*" + atom)
+    if not pieces:
         return "0"
-    out = terms[0]
-    for term in terms[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
         else:
-            out += " + " + term
+            out += " + " + piece
     return out
-
-
-def _needs_parens(s):
-    return "+" in s or "-" in s[1:]
 
 
 def rationals():

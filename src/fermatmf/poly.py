@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .field import FieldElement, TowerError
+from .field import FieldElement, TowerError, format_sum
 
 NVARS = 4
 # the exponent tuples of x1..x4: every variable, and so every linear term
@@ -336,32 +336,11 @@ class Polynomial:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps in sorted(self.terms, key=grlex_key, reverse=True):
-            coeff = self.terms[exps]
-            vars_part = "*".join(
-                "x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e)
-                for i, e in enumerate(exps) if e)
-            cs = str(coeff)
-            if not vars_part:
-                pieces.append(cs)
-            elif cs == "1":
-                pieces.append(vars_part)
-            elif cs == "-1":
-                pieces.append("-" + vars_part)
-            elif "+" in cs or "-" in cs[1:]:
-                pieces.append("(" + cs + ")*" + vars_part)
-            else:
-                pieces.append(cs + "*" + vars_part)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return format_sum(
+            (str(self.terms[exps]),
+             "*".join("x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e)
+                      for i, e in enumerate(exps) if e))
+            for exps in sorted(self.terms, key=grlex_key, reverse=True))
 
     __repr__ = __str__
 
@@ -381,9 +360,6 @@ def fermat_cubic3(field):
 
 
 # -- parsing ------------------------------------------------------------------
-
-_ATOM_STARTERS = ("(",)
-
 
 class _Tokens:
     def __init__(self, text):

@@ -181,6 +181,49 @@ def test_a_negative_budget_is_a_usage_error(capsys):
     assert "--budget" in err and ">= 0" in err
 
 
+def test_a_negative_value_may_follow_its_option(capsys):
+    # "--lambda -w,0" is joined to "--lambda=-w,0" before argparse sees it
+    spaced = run(capsys, ["moduli", "sample", "--lambda", "-w,0", "--seed",
+                          "2", "--budget", "1000", "--format", "json"])
+    joined = run(capsys, ["moduli", "sample", "--lambda=-w,0", "--seed",
+                          "2", "--budget", "1000", "--format", "json"])
+    assert spaced == joined
+    assert spaced[0] == 0 and json.loads(spaced[1])["checks"][0]["certified"]
+    code, data = run_json(capsys, ["moduli", "solve", "--lambda", "0,-1",
+                                   "--free", "-1,0,0"])
+    assert code == 0
+    assert data["checks"][0]["outcome"] == "pass"
+    assert data["checks"][0]["gamma"][6] == "-1"
+    code, data = run_json(capsys, ["moduli", "act", "--lambda", "0,-1",
+                                   "--kind", "Uk", "--k", "-w"])
+    assert code == 0
+    code, _, err = run(capsys, ["moduli", "act", "--field", "sextic",
+                                "--lambda", "1,g", "--kind", "H",
+                                "--coeffs", "-1,1,1,1"])
+    assert code == 2
+    assert "K1*K4" in err
+
+
+def test_an_option_without_its_value_is_a_usage_error(capsys):
+    for argv in (["moduli", "sample", "--lambda"],
+                 ["moduli", "sample", "--lambda", "--format", "json"],
+                 ["moduli", "solve", "--lambda", "0,-1", "--free"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert not out
+        assert "expected one argument" in err
+
+
+def test_only_moduli_sample_takes_a_seed_and_a_budget(capsys):
+    for argv in (["verify", "--all"], ["enumerate", "--catalog", "rank2_3gen"],
+                 ["moduli", "solve", "--lambda", "0,-1"], ["det"]):
+        for knob in (["--seed", "3"], ["--budget", "5"]):
+            code, out, err = run(capsys, argv + knob)
+            assert code == 2
+            assert not out
+            assert "unrecognized arguments" in err
+
+
 def test_moduli_act_defaults_to_the_zero_gamma_pencil(capsys):
     code, data = run_json(capsys, ["moduli", "act", "--lambda", "0,-1",
                                    "--kind", "Uk", "--k", "1"])

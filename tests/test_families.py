@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -23,11 +24,13 @@ from fermatmf.families import (
     point_forms,
     transport_matrices,
 )
+from fermatmf.equiv import enumerate_classes
 from fermatmf.field import omega_field, sextic_field, special_roots
 from fermatmf.matrix import (
     PolyMatrix,
     block,
     determinant,
+    format_one_line,
     pfaffian,
     verify_matrix_factorization,
 )
@@ -499,3 +502,48 @@ def test_family_id_errors():
         FamilyId.parse(F, "phi_t_sigma:t=7,sigma=234,a=-1,b=-1,u=w")
     with pytest.raises(FamilyError):
         FamilyId.parse(F, "rho:sigma=234,a=-1,b=-1,u=w,extra=1")
+
+
+# -- pinned displays -------------------------------------------------------------
+
+_SIGMA_IDEALS = ("I_sigma_beta", "I_1_sigma", "I_2_sigma", "I_3_sigma",
+                 "I_4_sigma", "J_1_sigma", "J_2_sigma") + tuple(
+                     "T_%d_sigma" % k for k in range(1, 9))
+
+
+def _display_lines():
+    """One line per display: the 666 catalog ids, then for each of the 54
+    (sigma, a, b, u) tuples every sigma builder and the 15 sigma ideals."""
+    def pair(mf):
+        return "%s|%s" % (format_one_line(mf.phi), format_one_line(mf.psi))
+
+    for catalog in ("rank2_3gen", "nonorientable_4gen", "nonorientable_5gen"):
+        for fid in enumerate_classes(catalog).representatives:
+            yield "%s|%s" % (fid, pair(fid.build()))
+    for sigma, r in _root_sweep():
+        tag = "%d%d%d|%s|%s|%s" % (sigma.i, sigma.j, sigma.s, r.a, r.b, r.u)
+        for kind in ("phi_sigma", "psi_sigma"):
+            mf = build_orientable_4gen(kind, sigma=sigma, r=r)
+            yield "%s|%s|%s" % (kind, tag, pair(mf))
+        for t in (1, 2, 3, 4):
+            for kind in ("phi", "psi"):
+                mf = build_nonorientable_4gen(t, kind, sigma, r)
+                yield "%s_%d|%s|%s" % (kind, t, tag, pair(mf))
+        for kind, normalized in (("rho", True), ("mu", True), ("mubar", True),
+                                 ("rho", False), ("mu", False)):
+            mf = build_5gen(kind, sigma, r, normalized=normalized)
+            yield "%s%s|%s|%s" % (kind, "" if normalized else "1", tag,
+                                  pair(mf))
+        for kind in _SIGMA_IDEALS:
+            gens = build_ideal(kind, sigma=sigma, r=r)
+            yield "%s|%s|%s" % (kind, tag, ", ".join(str(g) for g in gens))
+
+
+def test_every_display_is_byte_identical():
+    # golden sha256 over every entry of every catalog and sigma display and
+    # every sigma ideal: any change to one printed entry shows up here
+    lines = list(_display_lines())
+    assert len(lines) == 666 + 54 * (2 + 8 + 5 + 15)
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == ("1717ec18a50093c2f462670aea5bbe80"
+                      "e02fcb79c39d4a2902f49903b0385395")
