@@ -22,6 +22,7 @@ from .families import CurvePoint, FamilyError, FamilyId, GammaBlock, build_six_g
 from .equiv import EquivError, enumerate_classes, linear_reduction, scalar_equivalence
 from .moduli6 import (
     ModuliError,
+    ModuliPoint,
     gamma2_solve,
     group_action,
     linear_system_nullity,
@@ -177,6 +178,13 @@ def _cmd_verify(args):
             fid.build()
         except FamilyError as err:
             report.add(str(fid), "factorization", "fail", detail=str(err))
+            continue
+        # a matrix family certifies phi*psi = f*Id as it builds; a pencil
+        # is certified by Pf(Lambda) = f
+        if fid.name == "six_gen" and not ModuliPoint(
+                fid.params["lam"], fid.params["gamma"]).certified:
+            report.add(str(fid), "factorization", "fail",
+                       detail="Pf(Lambda) != f")
         else:
             report.add(str(fid), "factorization", "pass")
     return report

@@ -8,12 +8,17 @@ parameters eagerly and certify the factorization identity before returning;
 a print discrepancy that breaks phi*psi = f*Id is treated as a defect of the
 source display, fixed here, and documented in ERRATA.md.
 
-The sigma families all rest on one splitting f = w1*v1 + w2*v2 with
-v_t = v_t'*v_t''.  A family that relabels another one's display is written
-as a row of slot names, not as a second display: the 4x4 sigma display
-``_sigma_4x4`` serves phi_t/psi_t for t = 1..4 (``_NONORIENTABLE_SLOTS``)
-and the orientable phi_sigma/psi_sigma, and the 5x5 ``_mu_5x5`` serves
-mu/nu and mubar/nubar (``_MU_SLOTS``).
+Each display shape is written once.  The sigma families all rest on one
+splitting f = w1*v1 + w2*v2 with v_t = v_t'*v_t'', and a family that
+relabels another one's display is a row of slot names, not a second
+display: the 4x4 sigma display ``_sigma_4x4`` serves phi_t/psi_t for
+t = 1..4 (``_NONORIENTABLE_SLOTS``) and the orientable phi_sigma/psi_sigma;
+the 5x5 ``_rho_5x5`` and ``_mu_5x5`` serve rho, mu and mubar, and with
+x := v2'' and their generators reordered the un-normalized rho1 and mu1
+(``_FIVE_GEN_DISPLAYS``).  eta3 and theta3 share one 3x3 display, and
+psi_lambda is the Pfaffian adjoint of phi_lambda.  A partner name (a
+``psi_*`` name, omega, nu or nubar) is its pair swapped by
+``MatrixFactorization.swapped``, which multiplies nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .matrix import (
     adjugate,
     block,
     determinant,
+    pfaffian_adjoint,
     verify_matrix_factorization,
 )
 from .poly import Polynomial, fermat_cubic, fermat_cubic3, parse_scalar
@@ -485,8 +491,6 @@ def build_rank1_3gen(kind, r):
     if kind in ("alpha3", "beta3"):
         r.require("a", "b", "c", "d", "eps")
         a, b, c, d, eps = r.a, r.b, r.c, r.d, r.eps
-        if b * c * d != eps * a:
-            raise FamilyError("constraint b*c*d = eps*a violated")
         phi = PolyMatrix(field, [
             [0,
              x1 - a * x4,
@@ -505,20 +509,20 @@ def build_rank1_3gen(kind, r):
         a, b, c = r.a, r.b, r.c
         if a == b or a == c or b == c:
             raise FamilyError("(a, b, c) must be pairwise distinct")
+        # one display on l_k = x1 + e_k*y and m_k = z - r_k*x4, with slots
+        # (y | z) = (x2 | x3) for eta3 and (x3 | x2) for theta3
         if kind == "eta3":
             r.require("eps")
-            eps = r.eps
-            phi = PolyMatrix(field, [
-                [0, x1 + x2, x3 - a * x4],
-                [x1 + eps * x2, -x3 + c * x4, 0],
-                [x3 - b * x4, 0, -x1 - (eps * eps) * x2],
-            ])
+            y, z, e2, e3 = x2, x3, r.eps, r.eps * r.eps
         else:
-            phi = PolyMatrix(field, [
-                [0, x1 + x3, x2 - a * x4],
-                [x1 - (a * a * b) * x3, -x2 + c * x4, 0],
-                [x2 - b * x4, 0, -x1 + (a * b * b) * x3],
-            ])
+            y, z, e2, e3 = x3, x2, -(a * a * b), -(a * b * b)
+        l1, l2, l3 = x1 + y, x1 + e2 * y, x1 + e3 * y
+        m1, m2, m3 = z - a * x4, z - c * x4, z - b * x4
+        phi = PolyMatrix(field, [
+            [0, l1, m1],
+            [l2, -m2, 0],
+            [m3, 0, -l3],
+        ])
     else:
         raise FamilyError("unknown 3x3 kind %r" % (kind,))
     return _certify(phi, adjugate(phi), fermat_cubic(field), kind)
@@ -574,10 +578,12 @@ def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
     """The skew 4x4 pairs: phi_lambda/psi_lambda from a surface point, or
     phi_sigma/psi_sigma from sigma-data.
 
-    The sigma pair is the 4x4 sigma display with v2 unsplit (v2' = 1,
-    v2'' = v2) and beta in its free slot.  beta defaults to x_j*x_s, the
-    normal form of the catalog; a custom polynomial may be substituted for
-    experimentation.
+    The lambda pair is phi_lambda and its Pfaffian adjoint, certified by
+    phi*psi = Pf(phi)*Id = f*Id.  The sigma pair is the 4x4 sigma display
+    with v2 unsplit (v2' = 1, v2'' = v2) and beta in its free slot.  beta
+    defaults to x_j*x_s, the normal form of the catalog; a custom
+    polynomial may be substituted for experimentation.  The psi names are
+    the certified phi pair, swapped.
     """
     if kind in ("phi_lambda", "psi_lambda"):
         if lam is None:
@@ -592,12 +598,7 @@ def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
             [p2, p1, 0, q3],
             [q1, -q2, -q3, 0],
         ])
-        psi = PolyMatrix(field, [
-            [0, -q3, q2, p1],
-            [q3, 0, q1, -p2],
-            [-q2, -q1, 0, -p3],
-            [-p1, p2, p3, 0],
-        ])
+        psi = pfaffian_adjoint(phi)
     elif kind in ("phi_sigma", "psi_sigma"):
         if sigma is None or r is None:
             raise FamilyError("%s needs sigma and roots" % kind)
@@ -612,9 +613,8 @@ def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
                               beta)
     else:
         raise FamilyError("unknown orientable 4x4 kind %r" % (kind,))
-    if kind.startswith("psi"):
-        phi, psi = psi, phi
-    return _certify(phi, psi, fermat_cubic(phi.field), kind)
+    mf = _certify(phi, psi, fermat_cubic(phi.field), kind)
+    return mf.swapped() if kind.startswith("psi") else mf
 
 
 # -- non-orientable four-generated families --------------------------------------
@@ -644,17 +644,36 @@ def build_nonorientable_4gen(t, kind, sigma, r):
     fs = building_blocks(sigma, r)
     field = r.field
     phi, psi = _sigma_4x4(field, *_fill(sigma, fs, _NONORIENTABLE_SLOTS[t]))
-    if kind == "psi":
-        phi, psi = psi, phi
-    return _certify(phi, psi, fermat_cubic(field),
-                    "%s_%d_sigma" % (kind, t))
+    mf = _certify(phi, psi, fermat_cubic(field), "%s_%d_sigma" % (kind, t))
+    return mf.swapped() if kind == "psi" else mf
 
 
 # -- five-generated families -----------------------------------------------------
 
+def _rho_5x5(field, w1, w2, v1, v2, v1p, v1pp, v2p, v2pp, x):
+    """The normalized 5x5 rho display (phi, psi) on a splitting
+    f = w1*v1 + w2*v2 with v1 = v1p*v1pp and v2 = v2p*v2pp; the slot x is
+    free, since it cancels from phi*psi."""
+    phi = PolyMatrix(field, [
+        [0, w1, -v2p, -x, 0],
+        [v1p, w2, 0, 0, -x * v1pp],
+        [-v2pp, 0, v1pp, 0, 0],
+        [0, 0, 0, v1p, v2],
+        [0, 0, 0, -w2, w1 * v1pp],
+    ])
+    psi = PolyMatrix(field, [
+        [-w2 * v1pp, w1 * v1pp, -w2 * v2p, 0, x * v1pp],
+        [v1, v2, v1p * v2p, x * v1pp, 0],
+        [-w2 * v2pp, w1 * v2pp, w1 * v1p, 0, x * v2pp],
+        [0, 0, 0, w1 * v1pp, -v2],
+        [0, 0, 0, w2, v1p],
+    ])
+    return phi, psi
+
+
 def _mu_5x5(field, w1, w2, v1, v2, v1p, v1pp, v2p, v2pp, x):
-    """The normalized 5x5 mu display (phi, psi) on a splitting
-    f = w1*v1 + w2*v2 with v1 = v1p*v1pp and v2 = v2p*v2pp."""
+    """The normalized 5x5 mu display (phi, psi), with the slots of
+    ``_rho_5x5``."""
     phi = PolyMatrix(field, [
         [0, w1, v2pp, 0, 0],
         [-v1p, w2, 0, 0, x],
@@ -672,11 +691,20 @@ def _mu_5x5(field, w1, w2, v1, v2, v1p, v1pp, v2p, v2pp, x):
     return phi, psi
 
 
-# the forms filling the slots (w1, w2, v1, v2, v1', v1'', v2', v2'', x) of
-# _mu_5x5: mubar is mu with the two summands of f = w1*v1 + w2*v2 swapped
-_MU_SLOTS = {
-    "mu": ("w1", "w2", "v1", "v2", "v1p", "v1pp", "v2p", "v2pp", "xj"),
-    "mubar": ("w2", "w1", "v2", "v1", "v2pp", "v2p", "v1pp", "v1p", "xs"),
+_SPLIT = ("w1", "w2", "v1", "v2", "v1p", "v1pp", "v2p", "v2pp")
+
+# per (kind, normalized): the display, the forms filling its slots (w1, w2,
+# v1, v2, v1', v1'', v2', v2'', x), and the order of the generators (phi's
+# columns and psi's rows) or None.  mubar is mu with the two summands of
+# f = w1*v1 + w2*v2 swapped; the un-normalized rho1 and mu1 are rho and mu
+# with x := v2'', reordered
+_FIVE_GEN_DISPLAYS = {
+    ("rho", True): (_rho_5x5, _SPLIT + ("xj",), None),
+    ("rho", False): (_rho_5x5, _SPLIT + ("v2pp",), (0, 3, 2, 1, 4)),
+    ("mu", True): (_mu_5x5, _SPLIT + ("xj",), None),
+    ("mu", False): (_mu_5x5, _SPLIT + ("v2pp",), (2, 4, 0, 3, 1)),
+    ("mubar", True): (_mu_5x5, ("w2", "w1", "v2", "v1", "v2pp", "v2p",
+                                "v1pp", "v1p", "xs"), None),
 }
 
 
@@ -686,68 +714,23 @@ def build_5gen(kind, sigma, r, normalized=True):
     ``normalized`` selects the final displays; with ``normalized=False`` the
     un-normalized pairs rho1/omega1 and mu1/nu1 are produced instead (there
     is no un-normalized mubar display, so that combination is rejected).
-    The normalized mu and mubar pairs are the one mu display, filled with
-    the forms that ``_MU_SLOTS`` names.  Both omega variants carry
-    +w1*v2'' in their [3,2] entry; the sign is forced by the product
-    identity (see ERRATA.md).
+    Each pair is one row of ``_FIVE_GEN_DISPLAYS``: a display, the forms
+    filling its slots, and for rho1 and mu1 the order of the generators.
+    Both omega variants carry +w1*v2'' in their [3,2] entry; the sign is
+    forced by the product identity (see ERRATA.md).
     """
     if kind not in ("rho", "mu", "mubar"):
         raise FamilyError("kind must be rho, mu or mubar, got %r" % (kind,))
     fs = building_blocks(sigma, r)
-    field = r.field
-    if kind == "mubar" and not normalized:
+    row = _FIVE_GEN_DISPLAYS.get((kind, bool(normalized)))
+    if row is None:
         raise FamilyError("mubar has no un-normalized display")
-    xj = _variables(field)[sigma.j - 1]
-    w1, w2, v1, v2 = fs.w1, fs.w2, fs.v1, fs.v2
-    v1p, v1pp, v2p, v2pp = fs.v1p, fs.v1pp, fs.v2p, fs.v2pp
-    if kind != "rho" and normalized:
-        phi, psi = _mu_5x5(field, *_fill(sigma, fs, _MU_SLOTS[kind]))
-    elif normalized:
-        phi = PolyMatrix(field, [
-            [0, w1, -v2p, -xj, 0],
-            [v1p, w2, 0, 0, -xj * v1pp],
-            [-v2pp, 0, v1pp, 0, 0],
-            [0, 0, 0, v1p, v2],
-            [0, 0, 0, -w2, w1 * v1pp],
-        ])
-        psi = PolyMatrix(field, [
-            [-w2 * v1pp, w1 * v1pp, -w2 * v2p, 0, xj * v1pp],
-            [v1, v2, v1p * v2p, xj * v1pp, 0],
-            [-w2 * v2pp, w1 * v2pp, w1 * v1p, 0, xj * v2pp],
-            [0, 0, 0, w1 * v1pp, -v2],
-            [0, 0, 0, w2, v1p],
-        ])
-    elif kind == "rho":
-        phi = PolyMatrix(field, [
-            [0, -v2pp, -v2p, w1, 0],
-            [v1p, 0, 0, w2, -v2pp * v1pp],
-            [-v2pp, 0, v1pp, 0, 0],
-            [0, v1p, 0, 0, v2],
-            [0, -w2, 0, 0, w1 * v1pp],
-        ])
-        psi = PolyMatrix(field, [
-            [-w2 * v1pp, w1 * v1pp, -w2 * v2p, 0, v1pp * v2pp],
-            [0, 0, 0, w1 * v1pp, -v2],
-            [-w2 * v2pp, w1 * v2pp, w1 * v1p, 0, v2pp * v2pp],
-            [v1, v2, v1p * v2p, v1pp * v2pp, 0],
-            [0, 0, 0, w2, v1p],
-        ])
-    else:
-        phi = PolyMatrix(field, [
-            [v2pp, 0, 0, 0, w1],
-            [0, v2pp, -v1p, 0, w2],
-            [-v1pp, 0, v2p, v2pp, 0],
-            [0, -v2p, 0, -v1p, 0],
-            [0, -v1pp * w1, 0, w2 * v2pp, 0],
-        ])
-        psi = PolyMatrix(field, [
-            [v2p * w2, -v2p * w1, -v1p * w1, -v2pp * w1, 0],
-            [0, 0, 0, -v2pp * w2, -v1p],
-            [v1pp * w2, -v1pp * w1, w2 * v2pp, 0, -v2pp],
-            [0, 0, 0, -v1pp * w1, v2p],
-            [v1, v2, v2pp * v1p, v2pp * v2pp, 0],
-        ])
-    return _certify(phi, psi, fermat_cubic(field),
+    display, slots, order = row
+    phi, psi = display(r.field, *_fill(sigma, fs, slots))
+    if order is not None:
+        phi = phi.submatrix(range(5), order)
+        psi = psi.submatrix(order, range(5))
+    return _certify(phi, psi, fermat_cubic(r.field),
                     "%s%s" % (kind, "" if normalized else "1"))
 
 
@@ -1068,7 +1051,9 @@ class FamilyId:
 
     def build(self):
         """Construct the addressed object: a MatrixFactorization for every
-        matrix family, a PolyMatrix for six_gen."""
+        matrix family, a PolyMatrix for six_gen.  The pencil is not
+        certified here: Pf(Lambda) = f is ``moduli6.ModuliPoint``'s
+        check."""
         field = self.field
         name = self.name
         p = self.params
@@ -1100,9 +1085,7 @@ class FamilyId:
             r = RootData(field, a=p["a"], b=p["b"], u=p["u"])
             mf = build_5gen(kind, p["sigma"], r,
                             normalized=p.get("normalized", True))
-            if swap:
-                return verify_matrix_factorization(mf.psi, mf.phi, mf.f)
-            return mf
+            return mf.swapped() if swap else mf
         # six_gen
         return build_six_gen(self._curve_point(), p["gamma"])
 

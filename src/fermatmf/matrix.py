@@ -396,6 +396,11 @@ class MatrixFactorization:
     def size(self):
         return self.phi.nrows
 
+    def swapped(self):
+        """The partner pair (psi, phi), with no second product: phi*psi =
+        f*Id already implies psi*phi = f*Id."""
+        return MatrixFactorization(self.psi, self.phi, self.f)
+
     def __repr__(self):
         return "MatrixFactorization(n=%d, verified)" % self.size
 

@@ -55,6 +55,34 @@ def test_verify_all_covers_every_catalog_member(capsys):
     assert data["summary"] == {"total": 666, "failed": 0, "inconclusive": 0}
 
 
+def test_the_verify_all_report_is_byte_identical(capsys):
+    # golden sha256 of the stdout of `verify --all --format json`, the
+    # bytes the benchmark's catalog workload hashes
+    code, out, _ = run(capsys, ["verify", "--all", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "a9e620712b3dabaab45df71a81e9248a6d3b57eced3cc3fb2e6bf41df02a398e")
+
+
+def test_verify_certifies_a_six_gen_pencil_by_its_pfaffian(capsys):
+    # at gamma = 0 the pencil is the bare alpha block, whose Pfaffian
+    # misses the x4^3 of f
+    pencil = "six_gen:lam=0:-1:1,gamma=%s"
+    code, data = run_json(capsys, ["verify", "--family",
+                                   pencil % ":".join(["0"] * 15)])
+    assert code == 1
+    record = data["checks"][0]
+    assert (record["outcome"], record["check"]) == ("fail", "factorization")
+    assert "Pf(Lambda) != f" in record["detail"]
+    # the gamma that `moduli sample --lambda=0,-1 --seed 1` certifies
+    _, sample = run_json(capsys, ["moduli", "sample", "--lambda=0,-1",
+                                  "--seed", "1"])
+    gamma = ":".join(g.replace(" ", "") for g in sample["checks"][0]["gamma"])
+    code, data = run_json(capsys, ["verify", "--family", pencil % gamma])
+    assert code == 0
+    assert data["checks"][0]["outcome"] == "pass"
+
+
 def test_verify_needs_a_target(capsys):
     code, _, err = run(capsys, ["verify"])
     assert code == 2

@@ -23,6 +23,7 @@ from fermatmf.families import (
     five_points_example,
     point_forms,
     transport_matrices,
+    _ID_KEYS,
 )
 from fermatmf.equiv import enumerate_classes
 from fermatmf.field import omega_field, sextic_field, special_roots
@@ -547,3 +548,83 @@ def test_every_display_is_byte_identical():
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == ("1717ec18a50093c2f462670aea5bbe80"
                       "e02fcb79c39d4a2902f49903b0385395")
+
+
+def _partner_and_lambda_lines():
+    """One fid|phi|psi line per display the catalog digest leaves out:
+    phi_lambda/psi_lambda at six surface points, the partner names omega,
+    nu (normalized and not) and nubar over the 54 tuples, and curve_alpha
+    at three curve points."""
+    def line(fid):
+        mf = fid.build()
+        return "%s|%s|%s" % (fid, format_one_line(mf.phi),
+                             format_one_line(mf.psi))
+
+    for lam in ("-1:0:0:1", "0:-1:0:1", "-1:0:1:0", "0:-1:1:0", "-1:1:0:0",
+                "-w:1:0:0"):
+        for name in ("phi_lambda", "psi_lambda"):
+            yield line(FamilyId.parse(F, "%s:lam=%s" % (name, lam)))
+    for sigma, r in _root_sweep():
+        for name, normalized in (("omega", True), ("omega", False),
+                                 ("nu", True), ("nu", False),
+                                 ("nubar", True)):
+            params = {"sigma": sigma, "a": r.a, "b": r.b, "u": r.u}
+            if not normalized:
+                params["normalized"] = False
+            yield line(FamilyId(F, name, params))
+    for lam in ("0:-1:1", "-w:0:1", "-1:1:0"):
+        yield line(FamilyId.parse(F, "curve_alpha:lam=%s" % lam))
+
+
+def test_partner_and_lambda_displays_are_byte_identical():
+    lines = list(_partner_and_lambda_lines())
+    assert len(lines) == 12 + 54 * 5 + 3
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == ("c362af1af36e31a388ce2fff533305ea"
+                      "760d92b72aa262215be2bb7eb4940117")
+
+
+_ONE_ID_PER_NAME = (
+    "alpha3:b=-1,c=-1,d=-1,eps=w",
+    "beta3:b=-1,c=-1,d=-1,eps=w",
+    "eta3:a=-1,b=-w,c=-w^2,eps=w",
+    "theta3:a=-1,b=-w,c=-w^2",
+    "curve_alpha:lam=0:-1:1",
+    "phi_lambda:lam=0:0:-1:1",
+    "psi_lambda:lam=0:0:-1:1",
+    "phi_sigma:sigma=234,a=-1,b=-1,u=w",
+    "psi_sigma:sigma=234,a=-1,b=-1,u=w",
+    "phi_t_sigma:t=1,sigma=234,a=-1,b=-1,u=w",
+    "psi_t_sigma:t=1,sigma=234,a=-1,b=-1,u=w",
+    "rho:sigma=234,a=-1,b=-1,u=w",
+    "omega:sigma=234,a=-1,b=-1,u=w",
+    "mu:sigma=234,a=-1,b=-1,u=w",
+    "nu:sigma=234,a=-1,b=-1,u=w",
+    "mubar:sigma=234,a=-1,b=-1,u=w",
+    "nubar:sigma=234,a=-1,b=-1,u=w",
+    "omega:sigma=234,a=-1,b=-1,u=w,normalized=0",
+    "nu:sigma=234,a=-1,b=-1,u=w,normalized=0",
+)
+
+
+def test_a_warm_build_makes_one_matrix_product(monkeypatch):
+    # the certificate is the one product phi*psi; a partner name swaps the
+    # certified pair and multiplies nothing more
+    ids = [FamilyId.parse(F, text) for text in _ONE_ID_PER_NAME]
+    assert {fid.name for fid in ids} == set(_ID_KEYS) - {"six_gen"}
+    for fid in ids:
+        fid.build()  # warm: form sets and variables are memoised
+    products = []
+    multiply = PolyMatrix.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", counted)
+    counts = {}
+    for fid in ids:
+        del products[:]
+        fid.build()
+        counts[str(fid)] = len(products)
+    assert counts == {str(fid): 1 for fid in ids}
