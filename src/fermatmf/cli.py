@@ -5,7 +5,8 @@ field.  Reports are deterministic for fixed arguments and seed: checks are
 emitted in a canonical order and JSON keys are sorted.  Exit status is 0
 when no check failed (an inconclusive answer does not fail the run), 1 when
 a verification failed or the reader closed the output pipe early, and 2 for
-usage errors.
+usage errors, a ``--field`` without the cube roots of unity a command needs
+among them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 
-from .field import omega_field, rationals, sextic_field
+from .field import UnsupportedFieldError, omega_field, rationals, sextic_field
 from .poly import ParseError, parse_scalar
 from .matrix import MatrixError, determinant, format_one_line, parse_matrix, pfaffian
 from .families import CurvePoint, FamilyError, FamilyId, GammaBlock, build_six_gen
@@ -399,7 +400,7 @@ def main(argv=None):
         return 2
     try:
         report = args.handler(args)
-    except _UsageError as err:
+    except (_UsageError, UnsupportedFieldError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     try:

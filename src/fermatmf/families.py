@@ -8,29 +8,31 @@ parameters eagerly and certify the factorization identity before returning;
 a print discrepancy that breaks phi*psi = f*Id is treated as a defect of the
 source display, fixed here, and documented in ERRATA.md.
 
-Each display shape is written once.  The sigma families all rest on one
-splitting f = w1*v1 + w2*v2 with v_t = v_t'*v_t'', and a family that
-relabels another one's display is a row of slot names, not a second
-display: the 4x4 sigma display ``_sigma_4x4`` serves phi_t/psi_t for
-t = 1..4 (``_NONORIENTABLE_SLOTS``) and the orientable phi_sigma/psi_sigma;
-the 5x5 ``_rho_5x5`` and ``_mu_5x5`` serve rho, mu and mubar, and with
-x := v2'' and their generators reordered the un-normalized rho1 and mu1
-(``_FIVE_GEN_DISPLAYS``).  eta3 and theta3 share one 3x3 display, and
-psi_lambda is the Pfaffian adjoint of phi_lambda.  A partner name (a
-``psi_*`` name, omega, nu or nubar) is its pair swapped by
-``MatrixFactorization.swapped``, which multiplies nothing.
+Each display shape is written once, and no build multiplies matrices.
+The sigma families rest on one splitting f = w1*v1 + w2*v2 with
+v_t = v_t'*v_t''; each is a row of ``_SLOT_ROWS`` that fills the 4x4
+``_sigma_4x4`` or the 5x5 ``_rho_5x5`` or ``_mu_5x5`` from its form set.
+A row is proven once per process over slot symbols, and a listing is
+certified by that proof and its checked form set (``_slot_instance``).
+eta3 and theta3 share one 3x3 display; a 3x3 pair is phi and its
+adjugate, certified by det(phi) = f, and phi_lambda is paired with its
+Pfaffian adjoint, certified by Pf(phi) = f.  A partner name (a ``psi_*``
+name, omega, nu or nubar) is its pair swapped by
+``MatrixFactorization.swapped``.
 """
 
 from __future__ import annotations
 
-from .field import TowerError, omega_field
+from .field import TowerError, omega_field, rationals
 from .matrix import (
+    MatrixFactorization,
     PolyMatrix,
     adjugate,
     block,
     determinant,
+    pfaffian,
     pfaffian_adjoint,
-    verify_matrix_factorization,
+    slot_residuals,
 )
 from .poly import Polynomial, fermat_cubic, fermat_cubic3, parse_scalar
 
@@ -41,7 +43,16 @@ class FamilyError(ValueError):
 
 # -- parameter types ------------------------------------------------------------
 
-class SigmaPerm:
+class _Frozen:
+    """Immutable once ``__init__`` has set its slots."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class SigmaPerm(_Frozen):
     """A permutation (i j s) of {2,3,4} with i < j; exactly three are legal."""
 
     __slots__ = ("i", "j", "s")
@@ -55,9 +66,6 @@ class SigmaPerm:
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "s", s)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SigmaPerm is immutable")
 
     @classmethod
     def all(cls):
@@ -85,7 +93,7 @@ class SigmaPerm:
         return "SigmaPerm(%d, %d, %d)" % (self.i, self.j, self.s)
 
 
-class RootData:
+class RootData(_Frozen):
     """Field constants parameterizing the families.
 
     ``a`` and ``b`` are cube roots of -1 and ``u`` is a primitive cube root of
@@ -126,9 +134,6 @@ class RootData:
             if self.b * self.c * self.d != self.eps * self.a:
                 raise FamilyError("constraint b*c*d = eps*a violated")
 
-    def __setattr__(self, *_):
-        raise AttributeError("RootData is immutable")
-
     def require(self, *names):
         for name in names:
             if getattr(self, name) is None:
@@ -141,7 +146,24 @@ class RootData:
         return "RootData(%s)" % ", ".join(parts)
 
 
-class SurfacePoint:
+class _Point(_Frozen):
+    """A point given by its field and its coordinates in a chart."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.field is other.field and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((id(self.field), self.coords))
+
+    def __repr__(self):
+        return "[" + ":".join(str(c) for c in self.coords) + "]"
+
+
+class SurfacePoint(_Point):
     """A point of V(f) in projective 3-space, kept in one of the three charts
     [l1:l2:l3:1], [l1:l2:1:0], [l1:1:0:0].
 
@@ -170,25 +192,11 @@ class SurfacePoint:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "chart", chart)
 
-    def __setattr__(self, *_):
-        raise AttributeError("SurfacePoint is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SurfacePoint):
-            return NotImplemented
-        return self.field is other.field and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.field), self.coords))
-
-    def __repr__(self):
-        return "[" + ":".join(str(c) for c in self.coords) + "]"
-
 
 P0_COORDS = (-1, 0, 1)
 
 
-class CurvePoint:
+class CurvePoint(_Point):
     """A point of the plane curve V(f3) in chart [a:b:1] or [l1:1:0], with the
     excluded point P0 = [-1:0:1] rejected.
 
@@ -224,9 +232,6 @@ class CurvePoint:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "e", e)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CurvePoint is immutable")
 
     @classmethod
     def affine(cls, field, a, b):
@@ -265,19 +270,8 @@ class CurvePoint:
         # [l1:1:0] -> [0:1:l1] -> [0:1/l1:1]
         return CurvePoint.affine(self.field, 0, first.inv())
 
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        return self.field is other.field and self.coords == other.coords
 
-    def __hash__(self):
-        return hash((id(self.field), self.coords))
-
-    def __repr__(self):
-        return "[" + ":".join(str(c) for c in self.coords) + "]"
-
-
-class FormSet:
+class FormSet(_Frozen):
     """The named linear and quadratic forms feeding the matrix displays.
 
     Sigma data fills w1, w2 (linear), v1, v2 (quadratic) and the four linear
@@ -296,15 +290,12 @@ class FormSet:
         if forms:
             raise FamilyError("unknown form names: %s" % sorted(forms))
 
-    def __setattr__(self, *_):
-        raise AttributeError("FormSet is immutable")
-
     def __repr__(self):
         names = [n for n in self._SLOTS if getattr(self, n) is not None]
         return "FormSet(%s)" % ", ".join(names)
 
 
-class GammaBlock:
+class GammaBlock(_Frozen):
     """The fifteen constants a1..a15 packed into the skew 6x6 block
 
         Gamma = [[Gamma1, -Gamma2^t], [Gamma2, Gamma3]]
@@ -321,9 +312,6 @@ class GammaBlock:
             raise FamilyError("GammaBlock needs 15 values, got %d" % len(values))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GammaBlock is immutable")
 
     @classmethod
     def zero(cls, field):
@@ -461,27 +449,69 @@ def point_forms(lam):
     return FormSet(field, p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, q3=q3)
 
 
-def _fill(sigma, fs, names):
-    """The forms a slot row names: FormSet slots, and the variables x_j, x_s
-    of sigma as "xj", "xs"."""
+# -- slot rows -------------------------------------------------------------------
+
+_SYMBOLS = ("W1", "W2", "V1'", "V1''", "V2'", "V2''", "X")
+_PROVEN = set()  # the _SLOT_ROWS rows proven in this process
+
+
+def _slot_pair(row, fs, free):
+    """A row (display, slot names, generator order) filled from ``fs``: a
+    key of ``free`` takes its value, "1" the constant 1, any other name its
+    form; the order permutes phi's columns and psi's rows."""
+    display, slots, order = row
+    phi, psi = display(fs.field, *[
+        free[n] if n in free else 1 if n == "1" else getattr(fs, n)
+        for n in slots.split()])
+    if order is not None:
+        phi = phi.submatrix(range(5), order)
+        psi = psi.submatrix(order, range(5))
+    return phi, psi
+
+
+def _slot_instance(name, sigma, fs, beta=None):
+    """The pair of slot row ``name`` filled from the form set ``fs`` of
+    sigma, with x_j, x_s or ``beta`` in the free slot, and no product.
+
+    The first call proves the row over Q in _SYMBOLS (V_t = V_t'*V_t'', X
+    free): phi*psi = (W1*V1 + W2*V2)*Id, or a FamilyError prints the
+    residual entries in the symbols.  ``fs`` holds f = w1*v1 + w2*v2 and
+    v_t = v_t'*v_t'' (``building_blocks``), so the ring map W1, ..., V2'',
+    X -> w1, ..., v2'', free form sends the proof to phi*psi = f*Id.
+    """
+    row = _SLOT_ROWS[name]
+    if row not in _PROVEN:
+        ring, n = rationals(), len(_SYMBOLS)
+        w1, w2, v1p, v1pp, v2p, v2pp, x = (Polynomial.variable(ring, k, n)
+                                           for k in range(1, n + 1))
+        gen = FormSet(ring, w1=w1, w2=w2, v1=v1p * v1pp, v2=v2p * v2pp,
+                      v1p=v1p, v1pp=v1pp, v2p=v2p, v2pp=v2pp)
+        phi, psi = _slot_pair(row, gen, dict.fromkeys(("xj", "xs", "beta"), x))
+        residuals = slot_residuals(phi, psi, w1 * gen.v1 + w2 * gen.v2,
+                                   _SYMBOLS)
+        if residuals:
+            raise FamilyError("slot row %s fails phi*psi = (W1*V1 + W2*V2)*Id:"
+                              " %s" % (name, "; ".join(residuals)))
+        _PROVEN.add(row)
     x = _variables(fs.field)
-    named = {"xj": x[sigma.j - 1], "xs": x[sigma.s - 1]}
-    return [named[n] if n in named else getattr(fs, n) for n in names]
+    phi, psi = _slot_pair(row, fs, {"xj": x[sigma.j - 1], "xs": x[sigma.s - 1],
+                                    "beta": beta})
+    return MatrixFactorization(phi, psi, fermat_cubic(fs.field))
+
+
+def _by_invariant(phi, psi, value, f, name, what):
+    """(phi, psi) certified by value = f: psi is the adjugate (Pfaffian
+    adjoint) of phi, so phi*psi = value*Id with value det(phi) (Pf(phi))."""
+    if value != f:
+        raise FamilyError("%s: %s" % (name, what))
+    return MatrixFactorization(phi, psi, f)
 
 
 # -- three-generated families ----------------------------------------------------
 
-def _certify(phi, psi, f, name):
-    result = verify_matrix_factorization(phi, psi, f)
-    if not result.ok:
-        raise FamilyError("%s failed the factorization identity: %r"
-                          % (name, result))
-    return result
-
-
 def build_rank1_3gen(kind, r):
     """One of the four 3x3 families alpha3, beta3, eta3, theta3, paired with
-    its adjugate (so the certified product is f*Id3).
+    its adjugate and certified by det(phi) = f.
 
     alpha3/beta3 take (a,b,c,d,eps) with b*c*d = eps*a; eta3 takes (a,b,c)
     pairwise-distinct cube roots of -1 plus eps; theta3 takes just (a,b,c).
@@ -525,7 +555,8 @@ def build_rank1_3gen(kind, r):
         ])
     else:
         raise FamilyError("unknown 3x3 kind %r" % (kind,))
-    return _certify(phi, adjugate(phi), fermat_cubic(field), kind)
+    return _by_invariant(phi, adjugate(phi), determinant(phi),
+                         fermat_cubic(field), kind, "det(phi) != f")
 
 
 def _curve_alpha_matrix(lam):
@@ -547,11 +578,12 @@ def _curve_alpha_matrix(lam):
 
 
 def build_curve_alpha(lam):
-    """The 3x3 alpha matrix of a curve point (either chart), certified with
-    its adjugate against f3 = x1^3 + x2^3 + x3^3."""
+    """The 3x3 alpha matrix of a curve point (either chart), paired with its
+    adjugate and certified by det(phi) = f3 = x1^3 + x2^3 + x3^3."""
     phi = _curve_alpha_matrix(lam)
-    return _certify(phi, adjugate(phi), fermat_cubic3(lam.field),
-                    "curve_alpha")
+    return _by_invariant(phi, adjugate(phi), determinant(phi),
+                         fermat_cubic3(lam.field), "curve_alpha",
+                         "det(phi) != f3")
 
 
 # -- orientable four-generated families ------------------------------------------
@@ -579,11 +611,12 @@ def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
     phi_sigma/psi_sigma from sigma-data.
 
     The lambda pair is phi_lambda and its Pfaffian adjoint, certified by
-    phi*psi = Pf(phi)*Id = f*Id.  The sigma pair is the 4x4 sigma display
-    with v2 unsplit (v2' = 1, v2'' = v2) and beta in its free slot.  beta
-    defaults to x_j*x_s, the normal form of the catalog; a custom
-    polynomial may be substituted for experimentation.  The psi names are
-    the certified phi pair, swapped.
+    Pf(phi) = f.  The sigma pair is the slot row phi_sigma: the 4x4 sigma
+    display with v2 unsplit (v2' = 1, v2'' = v2) and beta in its free
+    slot, certified by the row's proof.  beta defaults to x_j*x_s, the
+    normal form of the catalog; a custom polynomial or constant may be
+    substituted for experimentation.  The psi names are the certified phi
+    pair, swapped.
     """
     if kind in ("phi_lambda", "psi_lambda"):
         if lam is None:
@@ -598,53 +631,34 @@ def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
             [p2, p1, 0, q3],
             [q1, -q2, -q3, 0],
         ])
-        psi = pfaffian_adjoint(phi)
+        mf = _by_invariant(phi, pfaffian_adjoint(phi), pfaffian(phi),
+                           fermat_cubic(field), kind, "Pf(phi) != f")
     elif kind in ("phi_sigma", "psi_sigma"):
         if sigma is None or r is None:
             raise FamilyError("%s needs sigma and roots" % kind)
-        fs = building_blocks(sigma, r)
-        field = r.field
         if beta is None:
-            x = _variables(field)
+            x = _variables(r.field)
             beta = x[sigma.j - 1] * x[sigma.s - 1]
-        elif not isinstance(beta, Polynomial):
-            beta = Polynomial.constant(field, field(beta))
-        phi, psi = _sigma_4x4(field, fs.w1, fs.w2, fs.v1, fs.v2, 1, fs.v2,
-                              beta)
+        mf = _slot_instance("phi_sigma", sigma, building_blocks(sigma, r), beta)
     else:
         raise FamilyError("unknown orientable 4x4 kind %r" % (kind,))
-    mf = _certify(phi, psi, fermat_cubic(phi.field), kind)
     return mf.swapped() if kind.startswith("psi") else mf
 
 
 # -- non-orientable four-generated families --------------------------------------
 
-# the forms filling the slots (w1, w2, v1, v2, v2', v2'', x) of _sigma_4x4,
-# per t: t = 2 swaps the two summands of f = w1*v1 + w2*v2, and t = 3, 4
-# are t = 1, 2 with the slots w1, v1 exchanged and v2', v2'' swapped
-_NONORIENTABLE_SLOTS = {
-    1: ("w1", "w2", "v1", "v2", "v2p", "v2pp", "xs"),
-    2: ("w2", "w1", "v2", "v1", "v1pp", "v1p", "xj"),
-    3: ("v1", "w2", "w1", "v2", "v2pp", "v2p", "xs"),
-    4: ("v2", "w1", "w2", "v1", "v1p", "v1pp", "xj"),
-}
-
-
 def build_nonorientable_4gen(t, kind, sigma, r):
     """The pair (phi_t_sigma, psi_t_sigma) for t = 1..4; kind selects which of
     the two is returned as the primary matrix.
 
-    All four are the one 4x4 sigma display, filled with the forms that
-    ``_NONORIENTABLE_SLOTS`` names for t.
+    All four are the one 4x4 sigma display, filled from the slot row
+    phi_t_sigma and certified by the row's proof.
     """
     if t not in (1, 2, 3, 4):
         raise FamilyError("t must be 1..4, got %r" % (t,))
     if kind not in ("phi", "psi"):
         raise FamilyError("kind must be 'phi' or 'psi', got %r" % (kind,))
-    fs = building_blocks(sigma, r)
-    field = r.field
-    phi, psi = _sigma_4x4(field, *_fill(sigma, fs, _NONORIENTABLE_SLOTS[t]))
-    mf = _certify(phi, psi, fermat_cubic(field), "%s_%d_sigma" % (kind, t))
+    mf = _slot_instance("phi_%d_sigma" % t, sigma, building_blocks(sigma, r))
     return mf.swapped() if kind == "psi" else mf
 
 
@@ -691,20 +705,21 @@ def _mu_5x5(field, w1, w2, v1, v2, v1p, v1pp, v2p, v2pp, x):
     return phi, psi
 
 
-_SPLIT = ("w1", "w2", "v1", "v2", "v1p", "v1pp", "v2p", "v2pp")
-
-# per (kind, normalized): the display, the forms filling its slots (w1, w2,
-# v1, v2, v1', v1'', v2', v2'', x), and the order of the generators (phi's
-# columns and psi's rows) or None.  mubar is mu with the two summands of
-# f = w1*v1 + w2*v2 swapped; the un-normalized rho1 and mu1 are rho and mu
-# with x := v2'', reordered
-_FIVE_GEN_DISPLAYS = {
-    ("rho", True): (_rho_5x5, _SPLIT + ("xj",), None),
-    ("rho", False): (_rho_5x5, _SPLIT + ("v2pp",), (0, 3, 2, 1, 4)),
-    ("mu", True): (_mu_5x5, _SPLIT + ("xj",), None),
-    ("mu", False): (_mu_5x5, _SPLIT + ("v2pp",), (2, 4, 0, 3, 1)),
-    ("mubar", True): (_mu_5x5, ("w2", "w1", "v2", "v1", "v2pp", "v2p",
-                                "v1pp", "v1p", "xs"), None),
+# per row: the display, the forms in its slots, its generator order or None.
+# phi_sigma leaves v2 unsplit; t = 2 swaps the summands of f = w1*v1 +
+# w2*v2, t = 3, 4 are t = 1, 2 with w1, v1 and v2', v2'' exchanged; mubar is
+# mu with the summands swapped; rho1, mu1 are rho, mu with x := v2'', reordered
+_SLOT_ROWS = {
+    "phi_sigma": (_sigma_4x4, "w1 w2 v1 v2 1 v2 beta", None),
+    "phi_1_sigma": (_sigma_4x4, "w1 w2 v1 v2 v2p v2pp xs", None),
+    "phi_2_sigma": (_sigma_4x4, "w2 w1 v2 v1 v1pp v1p xj", None),
+    "phi_3_sigma": (_sigma_4x4, "v1 w2 w1 v2 v2pp v2p xs", None),
+    "phi_4_sigma": (_sigma_4x4, "v2 w1 w2 v1 v1p v1pp xj", None),
+    "rho": (_rho_5x5, "w1 w2 v1 v2 v1p v1pp v2p v2pp xj", None),
+    "rho1": (_rho_5x5, "w1 w2 v1 v2 v1p v1pp v2p v2pp v2pp", (0, 3, 2, 1, 4)),
+    "mu": (_mu_5x5, "w1 w2 v1 v2 v1p v1pp v2p v2pp xj", None),
+    "mu1": (_mu_5x5, "w1 w2 v1 v2 v1p v1pp v2p v2pp v2pp", (2, 4, 0, 3, 1)),
+    "mubar": (_mu_5x5, "w2 w1 v2 v1 v2pp v2p v1pp v1p xs", None),
 }
 
 
@@ -714,24 +729,16 @@ def build_5gen(kind, sigma, r, normalized=True):
     ``normalized`` selects the final displays; with ``normalized=False`` the
     un-normalized pairs rho1/omega1 and mu1/nu1 are produced instead (there
     is no un-normalized mubar display, so that combination is rejected).
-    Each pair is one row of ``_FIVE_GEN_DISPLAYS``: a display, the forms
-    filling its slots, and for rho1 and mu1 the order of the generators.
-    Both omega variants carry +w1*v2'' in their [3,2] entry; the sign is
-    forced by the product identity (see ERRATA.md).
+    Each pair is the slot row rho, mu, mubar, rho1 or mu1, certified by the
+    row's proof.  Both omega variants carry +w1*v2'' in their [3,2] entry;
+    the sign is forced by the product identity (see ERRATA.md).
     """
     if kind not in ("rho", "mu", "mubar"):
         raise FamilyError("kind must be rho, mu or mubar, got %r" % (kind,))
-    fs = building_blocks(sigma, r)
-    row = _FIVE_GEN_DISPLAYS.get((kind, bool(normalized)))
-    if row is None:
+    name = kind if normalized else kind + "1"
+    if name not in _SLOT_ROWS:
         raise FamilyError("mubar has no un-normalized display")
-    display, slots, order = row
-    phi, psi = display(r.field, *_fill(sigma, fs, slots))
-    if order is not None:
-        phi = phi.submatrix(range(5), order)
-        psi = psi.submatrix(order, range(5))
-    return _certify(phi, psi, fermat_cubic(r.field),
-                    "%s%s" % (kind, "" if normalized else "1"))
+    return _slot_instance(name, sigma, building_blocks(sigma, r))
 
 
 # -- ideals ----------------------------------------------------------------------
@@ -945,7 +952,7 @@ def _format_scalar(value):
     return str(value).replace(" ", "")
 
 
-class FamilyId:
+class FamilyId(_Frozen):
     """Canonical string address of one catalog member, e.g.
 
         phi_t_sigma:t=1,sigma=234,a=-1,b=-w,u=w
@@ -970,9 +977,6 @@ class FamilyId:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", dict(params))
-
-    def __setattr__(self, *_):
-        raise AttributeError("FamilyId is immutable")
 
     @classmethod
     def parse(cls, field, text):
@@ -1058,14 +1062,13 @@ class FamilyId:
         name = self.name
         p = self.params
         if name in ("alpha3", "beta3"):
-            a = p["b"] * p["c"] * p["d"] / p["eps"]
-            r = RootData(field, a=a, b=p["b"], c=p["c"], d=p["d"], eps=p["eps"])
+            # eps first: a = b*c*d/eps needs eps != 0
+            eps = RootData(field, eps=p["eps"]).eps
+            r = RootData(field, a=p["b"] * p["c"] * p["d"] / eps, b=p["b"],
+                         c=p["c"], d=p["d"], eps=eps)
             return build_rank1_3gen(name, r)
-        if name == "eta3":
-            r = RootData(field, a=p["a"], b=p["b"], c=p["c"], eps=p["eps"])
-            return build_rank1_3gen(name, r)
-        if name == "theta3":
-            r = RootData(field, a=p["a"], b=p["b"], c=p["c"])
+        if name in ("eta3", "theta3"):
+            r = RootData(field, a=p["a"], b=p["b"], c=p["c"], eps=p.get("eps"))
             return build_rank1_3gen(name, r)
         if name == "curve_alpha":
             return build_curve_alpha(self._curve_point())
@@ -1074,20 +1077,17 @@ class FamilyId:
             if not isinstance(lam, SurfacePoint):
                 raise FamilyError("%s needs a 4-coordinate point" % name)
             return build_orientable_4gen(name, lam=lam)
+        if name == "six_gen":
+            return build_six_gen(self._curve_point(), p["gamma"])
+        # the sigma families
+        r = RootData(field, a=p["a"], b=p["b"], u=p["u"])
         if name in ("phi_sigma", "psi_sigma"):
-            r = RootData(field, a=p["a"], b=p["b"], u=p["u"])
             return build_orientable_4gen(name, sigma=p["sigma"], r=r)
         if name in ("phi_t_sigma", "psi_t_sigma"):
-            r = RootData(field, a=p["a"], b=p["b"], u=p["u"])
             return build_nonorientable_4gen(p["t"], name[:3], p["sigma"], r)
-        if name in _FIVE_GEN_NAMES:
-            kind, swap = _FIVE_GEN_NAMES[name]
-            r = RootData(field, a=p["a"], b=p["b"], u=p["u"])
-            mf = build_5gen(kind, p["sigma"], r,
-                            normalized=p.get("normalized", True))
-            return mf.swapped() if swap else mf
-        # six_gen
-        return build_six_gen(self._curve_point(), p["gamma"])
+        kind, swap = _FIVE_GEN_NAMES[name]
+        mf = build_5gen(kind, p["sigma"], r, normalized=p.get("normalized", True))
+        return mf.swapped() if swap else mf
 
     def _curve_point(self):
         lam = self.params["lam"]

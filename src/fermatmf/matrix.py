@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .field import FieldElement, TowerError
-from .poly import Polynomial, parse
+from .poly import NVARS, Polynomial, parse
 
 
 class MatrixError(ValueError):
@@ -31,24 +31,37 @@ class MatrixError(ValueError):
 
 
 class PolyMatrix:
-    """An immutable rectangular matrix of polynomials over one field."""
+    """An immutable rectangular matrix of polynomials over one field, all in
+    one ring of ``nvars`` variables.
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    ``nvars`` is read off the polynomial entries, and an entry in another
+    number of variables is a MatrixError; a matrix of scalars alone lives
+    in ``nvars`` variables, x1..x4 by default.
+    """
 
-    def __init__(self, field, rows):
+    __slots__ = ("field", "nvars", "nrows", "ncols", "entries")
+
+    def __init__(self, field, rows, nvars=None):
+        if nvars is None:
+            rows = [tuple(row) for row in rows]
+            nvars = next((a.nvars for row in rows for a in row
+                          if isinstance(a, Polynomial)), NVARS)
         entries = []
         width = None
-        # every zero entry is the field's one shared zero polynomial, which
+        # every zero entry is the ring's one shared zero polynomial, which
         # keeps the memory of long sweeps low
-        zero = Polynomial.zero(field)
+        zero = Polynomial.zero(field, nvars)
         for row in rows:
             coerced = []
             for entry in row:
                 if isinstance(entry, Polynomial):
                     if entry.field is not field:
                         raise TowerError("matrix entries over different fields")
+                    if entry.nvars != nvars:
+                        raise MatrixError("matrix entries in %d and %d variables"
+                                          % (nvars, entry.nvars))
                 else:
-                    entry = Polynomial.constant(field, field(entry))
+                    entry = Polynomial.constant(field, field(entry), nvars)
                 coerced.append(entry if entry.terms else zero)
             if width is None:
                 width = len(coerced)
@@ -58,6 +71,7 @@ class PolyMatrix:
         if not entries or width == 0:
             raise MatrixError("empty matrix")
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "nrows", len(entries))
         object.__setattr__(self, "ncols", width)
         object.__setattr__(self, "entries", tuple(entries))
@@ -66,18 +80,24 @@ class PolyMatrix:
         raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
-    def zeros(cls, field, nrows, ncols=None):
+    def zeros(cls, field, nrows, ncols=None, nvars=NVARS):
         ncols = nrows if ncols is None else ncols
-        zero = Polynomial.zero(field)
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
+        zero = Polynomial.zero(field, nvars)
+        return cls(field, [[zero] * ncols for _ in range(nrows)], nvars)
 
     @classmethod
-    def identity(cls, field, n, scale=1):
-        diag = Polynomial.constant(field, field(1)) * scale \
-            if not isinstance(scale, Polynomial) else scale
-        zero = Polynomial.zero(field)
+    def identity(cls, field, n, scale=1, nvars=None):
+        """scale*Id in ``nvars`` variables: by default those of a
+        polynomial scale, else x1..x4."""
+        if isinstance(scale, Polynomial):
+            diag = scale
+            nvars = scale.nvars if nvars is None else nvars
+        else:
+            nvars = NVARS if nvars is None else nvars
+            diag = Polynomial.constant(field, field(1), nvars) * scale
+        zero = Polynomial.zero(field, nvars)
         return cls(field, [[diag if i == j else zero for j in range(n)]
-                           for i in range(n)])
+                           for i in range(n)], nvars)
 
     def __getitem__(self, key):
         i, j = key
@@ -101,19 +121,23 @@ class PolyMatrix:
             raise MatrixError("dimension mismatch in addition")
         return PolyMatrix(self.field, [
             [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)])
+            for r1, r2 in zip(self.entries, other.entries)], self.nvars)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PolyMatrix(self.field, [[-a for a in row] for row in self.entries])
+        return PolyMatrix(self.field, [[-a for a in row] for row in self.entries],
+                          self.nvars)
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
             if self.ncols != other.nrows:
                 raise MatrixError("dimension mismatch in product")
-            zero = Polynomial.zero(self.field)
+            if self.nvars != other.nvars:
+                raise MatrixError("matrices in %d and %d variables"
+                                  % (self.nvars, other.nvars))
+            zero = Polynomial.zero(self.field, self.nvars)
             out = []
             for i in range(self.nrows):
                 row = []
@@ -125,10 +149,11 @@ class PolyMatrix:
                             acc = acc + a * other.entries[k][j]
                     row.append(acc)
                 out.append(row)
-            return PolyMatrix(self.field, out)
+            return PolyMatrix(self.field, out, self.nvars)
         if isinstance(other, (int, Fraction, FieldElement, Polynomial)):
             return PolyMatrix(self.field,
-                              [[a * other for a in row] for row in self.entries])
+                              [[a * other for a in row] for row in self.entries],
+                              self.nvars)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -139,14 +164,14 @@ class PolyMatrix:
     def transpose(self):
         return PolyMatrix(self.field, [
             [self.entries[i][j] for i in range(self.nrows)]
-            for j in range(self.ncols)])
+            for j in range(self.ncols)], self.nvars)
 
     def map_entries(self, fn):
         return PolyMatrix(self.field, [[fn(a) for a in row] for row in self.entries])
 
     def submatrix(self, rows, cols):
         return PolyMatrix(self.field, [
-            [self.entries[i][j] for j in cols] for i in rows])
+            [self.entries[i][j] for j in cols] for i in rows], self.nvars)
 
     def is_skew(self):
         if not self.is_square():
@@ -221,8 +246,8 @@ def determinant(M):
     """Exact determinant of a square PolyMatrix."""
     if not M.is_square():
         raise MatrixError("determinant of a non-square matrix")
-    return expand_determinant(M.entries, Polynomial.one(M.field),
-                              Polynomial.zero(M.field))
+    return expand_determinant(M.entries, Polynomial.one(M.field, M.nvars),
+                              Polynomial.zero(M.field, M.nvars))
 
 
 def minors(M, size):
@@ -239,8 +264,8 @@ def minors(M, size):
     if not 0 <= size <= min(M.nrows, M.ncols):
         raise MatrixError("no %d x %d minors in a %d x %d matrix"
                           % (size, size, M.nrows, M.ncols))
-    zero = Polynomial.zero(M.field)
-    levels = [{((), ()): Polynomial.one(M.field)}]
+    zero = Polynomial.zero(M.field, M.nvars)
+    levels = [{((), ()): Polynomial.one(M.field, M.nvars)}]
     for k in range(1, size + 1):
         below = levels[-1]
         level = {}
@@ -277,7 +302,7 @@ def adjugate(M):
         for j in range(n):
             minor = cofactors[rest[i], rest[j]]
             adj[j][i] = minor if (i + j) % 2 == 0 else -minor
-    return PolyMatrix(M.field, adj)
+    return PolyMatrix(M.field, adj, M.nvars)
 
 
 def _require_skew(M, parity):
@@ -292,11 +317,11 @@ def _require_skew(M, parity):
 
 def _pf_recursive(M, indices, memo):
     if not indices:
-        return Polynomial.one(M.field)
+        return Polynomial.one(M.field, M.nvars)
     value = memo.get(indices)
     if value is not None:
         return value
-    zero = Polynomial.zero(M.field)
+    zero = Polynomial.zero(M.field, M.nvars)
     s1 = indices[0]
     total = zero
     for p in range(1, len(indices)):
@@ -322,7 +347,7 @@ def pfaffian_adjoint(M):
     _require_skew(M, 0)
     n = M.nrows
     memo = {}
-    zero = Polynomial.zero(M.field)
+    zero = Polynomial.zero(M.field, M.nvars)
     out = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -335,7 +360,7 @@ def pfaffian_adjoint(M):
             if j < i:
                 sub = -sub
             out[i][j] = sub
-    return PolyMatrix(M.field, out)
+    return PolyMatrix(M.field, out, M.nvars)
 
 
 def pfaffian_vector(d2):
@@ -370,15 +395,20 @@ def assemble_gorenstein_skew(d2, v):
         if len(column) != d2.nrows:
             raise MatrixError("column has wrong length")
     field = d2.field
-    zero = Polynomial.zero(field)
+    zero = Polynomial.zero(field, d2.nvars)
     rows = [list(row) + [column[i]] for i, row in enumerate(d2.entries)]
     rows.append([-c for c in column] + [zero])
-    return PolyMatrix(field, rows)
+    return PolyMatrix(field, rows, d2.nvars)
 
 
 class MatrixFactorization:
-    """A verified pair (phi, psi) with phi*psi = psi*phi = f*Id, certified
-    by the one product phi*psi (``verify_matrix_factorization``)."""
+    """A certified pair (phi, psi) with phi*psi = psi*phi = f*Id.
+
+    It is certified by one of: the literal product phi*psi
+    (``verify_matrix_factorization``); the generic identity of a slot row
+    (``slot_residuals``) with a form set that fills the row; det(phi) = f
+    when psi is ``adjugate(phi)``; or Pf(phi) = f when psi is
+    ``pfaffian_adjoint(phi)``."""
 
     __slots__ = ("phi", "psi", "f", "verified")
     ok = True
@@ -424,6 +454,22 @@ class VerificationFailure:
         return "VerificationFailure(%s%s)" % (spots, more)
 
 
+def _residuals(phi, psi, f):
+    """The nonzero entries of phi*psi - f*Id, as (i, j, polynomial)."""
+    if not (phi.is_square() and psi.is_square()) or phi.nrows != psi.nrows:
+        raise MatrixError("factors must be square of equal size")
+    if phi.field is not psi.field or (isinstance(f, Polynomial) and f.field is not phi.field):
+        raise TowerError("factors over different fields")
+    if not f:
+        raise MatrixError("a matrix factorization of 0 is not certified by "
+                          "one product")
+    n = phi.nrows
+    diff = phi * psi - PolyMatrix.identity(phi.field, n, scale=f,
+                                           nvars=phi.nvars)
+    return [(i, j, diff.entries[i][j])
+            for i in range(n) for j in range(n) if diff.entries[i][j]]
+
+
 def verify_matrix_factorization(phi, psi, f):
     """Check phi*psi = psi*phi = f*Id exactly, by computing phi*psi alone.
 
@@ -436,20 +482,24 @@ def verify_matrix_factorization(phi, psi, f):
     listing every nonzero residual entry otherwise (failure is data, not an
     exception, so sweeps can localize print typos).
     """
-    if not (phi.is_square() and psi.is_square()) or phi.nrows != psi.nrows:
-        raise MatrixError("factors must be square of equal size")
-    if phi.field is not psi.field or (isinstance(f, Polynomial) and f.field is not phi.field):
-        raise TowerError("factors over different fields")
-    if not f:
-        raise MatrixError("a matrix factorization of 0 is not certified by "
-                          "one product")
-    n = phi.nrows
-    diff = phi * psi - PolyMatrix.identity(phi.field, n, scale=f)
-    residuals = [("phi*psi", i, j, diff.entries[i][j])
-                 for i in range(n) for j in range(n) if diff.entries[i][j]]
+    residuals = [("phi*psi",) + spot for spot in _residuals(phi, psi, f)]
     if residuals:
         return VerificationFailure(phi, psi, f, residuals)
     return MatrixFactorization(phi, psi, f)
+
+
+def slot_residuals(phi, psi, f, symbols):
+    """Prove phi*psi = f*Id for a display filled with slot symbols.
+
+    phi, psi and f are polynomials in one variable per name in
+    ``symbols``.  Returns the nonzero entries of phi*psi - f*Id, each
+    printed as "[i,j] residual" in those names; an empty list proves the
+    identity.  It then holds for every instance of the display: a ring map
+    that sends the symbols to a listing's forms sends this identity to the
+    listing's phi*psi = f*Id.
+    """
+    return ["[%d,%d] %s" % (i, j, p.format(symbols))
+            for i, j, p in _residuals(phi, psi, f)]
 
 
 # -- exact linear algebra over the coefficient field ---------------------------

@@ -6,8 +6,8 @@ solution space in ``equiv``.  Monomials are exponent ``nvars``-tuples; a
 polynomial is a finite table mapping monomials to nonzero field elements,
 so equal polynomials have identical tables.  All printing uses graded
 lexicographic order with x1 > x2 > x3 > x4, which keeps reports and
-fixtures diffable; printing, parsing, ``variable`` and ``eval`` speak of
-x1..x4.
+fixtures diffable; parsing, ``variable`` and ``eval`` speak of x1..x4,
+and printing does too unless ``format`` is given other names.
 """
 
 from __future__ import annotations
@@ -105,11 +105,13 @@ class Polynomial:
         return cls(field, {(0,) * nvars: field(c)}, nvars)
 
     @classmethod
-    def variable(cls, field, index):
-        """x_index for index in 1..4."""
-        if not 1 <= index <= NVARS:
+    def variable(cls, field, index, nvars=NVARS):
+        """x_index for index in 1..nvars."""
+        if not 1 <= index <= nvars:
             raise ValueError("variable index out of range: %r" % (index,))
-        return cls(field, {LINEAR_EXPS[index - 1]: field.one()})
+        exps = LINEAR_EXPS[index - 1] if nvars == NVARS else \
+            tuple(int(i == index - 1) for i in range(nvars))
+        return cls(field, {exps: field.one()}, nvars)
 
     # -- ring structure ------------------------------------------------------
 
@@ -335,12 +337,19 @@ class Polynomial:
 
     # -- printing ------------------------------------------------------------
 
-    def __str__(self):
+    def format(self, names=None):
+        """The polynomial printed with ``names`` for its variables, x1, x2,
+        ... by default, in graded lexicographic order."""
+        if names is None:
+            names = ["x%d" % (i + 1) for i in range(self.nvars)]
         return format_sum(
             (str(self.terms[exps]),
-             "*".join("x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e)
+             "*".join(names[i] if e == 1 else "%s^%d" % (names[i], e)
                       for i, e in enumerate(exps) if e))
             for exps in sorted(self.terms, key=grlex_key, reverse=True))
+
+    def __str__(self):
+        return self.format()
 
     __repr__ = __str__
 

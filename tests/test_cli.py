@@ -95,6 +95,42 @@ def test_malformed_family_ids_are_usage_errors(capsys):
     assert "unknown family" in err
 
 
+def test_eps_zero_reports_like_any_eps_that_is_no_root(capsys):
+    # a = b*c*d/eps is computed only after eps is checked
+    for eps in ("0", "1"):
+        fid = "alpha3:b=-1,c=-1,d=-1,eps=%s" % eps
+        for name in ("alpha3", "beta3"):
+            text = fid.replace("alpha3", name)
+            code, data = run_json(capsys, ["verify", "--family", text])
+            assert code == 1
+            record = data["checks"][0]
+            assert record["outcome"] == "fail"
+            assert record["detail"] == \
+                "eps must be a primitive cube root of unity"
+        code, out, err = run(capsys, ["equiv", "--left", fid, "--right",
+                                      "alpha3:b=-1,c=-1,d=-1,eps=w"])
+        assert code == 2 and not out
+        assert err == "error: eps must be a primitive cube root of unity\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--catalog", "rank2_3gen"],
+    ["verify", "--all"],
+    ["moduli", "sample", "--lambda=0,-1", "--budget", "0"],
+])
+def test_a_field_without_w_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv + ["--field", "rationals"])
+    assert code == 2 and not out
+    assert err == "error: field NumberField(Q) does not contain w\n"
+
+
+def test_moduli_solve_still_runs_over_the_rationals(capsys):
+    code, data = run_json(capsys, ["moduli", "solve", "--lambda=0,-1",
+                                   "--field", "rationals"])
+    assert code == 0
+    assert data["checks"][0]["outcome"] == "pass"
+
+
 def test_equiv_reports_the_u_swap_collision(capsys):
     code, data = run_json(capsys, [
         "equiv",

@@ -607,13 +607,14 @@ _ONE_ID_PER_NAME = (
 )
 
 
-def test_a_warm_build_makes_one_matrix_product(monkeypatch):
-    # the certificate is the one product phi*psi; a partner name swaps the
-    # certified pair and multiplies nothing more
+def test_a_warm_build_makes_no_matrix_product(monkeypatch):
+    # a slot row is proven once per process over its symbols, a 3x3 pair
+    # by det(phi) = f and phi_lambda by Pf(phi) = f; a partner name swaps
+    # the certified pair, so a warm build multiplies no matrices at all
     ids = [FamilyId.parse(F, text) for text in _ONE_ID_PER_NAME]
     assert {fid.name for fid in ids} == set(_ID_KEYS) - {"six_gen"}
     for fid in ids:
-        fid.build()  # warm: form sets and variables are memoised
+        fid.build()  # warm: form sets, variables and row proofs are memoised
     products = []
     multiply = PolyMatrix.__mul__
 
@@ -627,4 +628,42 @@ def test_a_warm_build_makes_one_matrix_product(monkeypatch):
         del products[:]
         fid.build()
         counts[str(fid)] = len(products)
-    assert counts == {str(fid): 1 for fid in ids}
+    assert counts == {str(fid): 0 for fid in ids}
+
+
+def test_every_catalog_listing_passes_the_literal_product():
+    # the builds certify without a product; the literal check phi*psi =
+    # f*Id still runs on all 666 listings here
+    count = 0
+    for catalog in ("rank2_3gen", "nonorientable_4gen", "nonorientable_5gen"):
+        for fid in enumerate_classes(catalog).representatives:
+            mf = fid.build()
+            assert verify_matrix_factorization(mf.phi, mf.psi, mf.f).ok, fid
+            count += 1
+    assert count == 666
+
+
+def test_a_flipped_display_entry_fails_its_row_proof(monkeypatch):
+    # the row proof runs over the slot symbols, so a display with one entry
+    # of the wrong sign fails it at once, with the residual printed in
+    # W1, W2, V1', V1'', V2', V2'', X rather than in x1..x4
+    from fermatmf import families
+
+    def flipped(field, *slots):
+        phi, psi = families._rho_5x5(field, *slots)
+        rows = [list(row) for row in psi.rows()]
+        rows[2][1] = -rows[2][1]  # the [3,2] sign ERRATA.md corrects
+        return phi, PolyMatrix(field, rows)
+
+    display, slots, order = families._SLOT_ROWS["rho"]
+    monkeypatch.setitem(families._SLOT_ROWS, "rho", (flipped, slots, order))
+    sigma = SigmaPerm(2, 3, 4)
+    r = RootData(F, a=-1, b=-1, u=W)
+    with pytest.raises(FamilyError) as err:
+        build_5gen("rho", sigma, r)
+    assert str(err.value) == (
+        "slot row rho fails phi*psi = (W1*V1 + W2*V2)*Id: "
+        "[0,1] 2*W1*V2'*V2''; [2,1] -2*W1*V1''*V2''")
+    # once the display is mended, rho proves again
+    monkeypatch.setitem(families._SLOT_ROWS, "rho", (display, slots, order))
+    assert build_5gen("rho", sigma, r).ok

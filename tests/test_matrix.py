@@ -20,6 +20,7 @@ from fermatmf.matrix import (
     pfaffian,
     pfaffian_adjoint,
     pfaffian_vector,
+    slot_residuals,
     verify_matrix_factorization,
 )
 from fermatmf.poly import Polynomial, fermat_cubic, parse
@@ -257,6 +258,39 @@ def test_verify_matrix_factorization_success_and_failure():
     assert nil * proj == PolyMatrix.identity(F, 2, scale=zero)
     with pytest.raises(MatrixError):
         verify_matrix_factorization(nil, proj, zero)
+
+
+def test_a_matrix_lives_in_the_ring_of_its_entries():
+    # [[0, y], [z, 0]] in two variables: its zeros, products and
+    # determinant stay in two variables
+    y = Polynomial(F, {(1, 0): 1}, 2)
+    z = Polynomial(F, {(0, 1): 1}, 2)
+    M = PolyMatrix(F, [[0, y], [z, 0]])
+    assert M.nvars == 2 and M[0, 0] == Polynomial.zero(F, 2)
+    assert M * M == PolyMatrix.identity(F, 2, scale=y * z)
+    assert determinant(M) == -(y * z)
+    assert adjugate(M) == PolyMatrix(F, [[0, -y], [-z, 0]])
+    assert PolyMatrix.zeros(F, 2, nvars=2) == M - M
+    assert PolyMatrix(F, [[1, 0]], nvars=2)[0, 0] == Polynomial.one(F, 2)
+    assert PolyMatrix(F, [[1, 0]]).nvars == 4
+    # entries in 2 and 4 variables do not make one matrix
+    with pytest.raises(MatrixError):
+        PolyMatrix(F, [[y, x(1)]])
+    with pytest.raises(MatrixError):
+        PolyMatrix(F, [[x(1)]], nvars=2)
+    with pytest.raises(MatrixError):
+        M * PolyMatrix.identity(F, 2)
+    with pytest.raises(MatrixError):
+        PolyMatrix.identity(F, 2, scale=y, nvars=4)
+
+
+def test_slot_residuals_print_in_the_slot_symbols():
+    Q = rationals()
+    a, b = (Polynomial(Q, {e: 1}, 2) for e in ((1, 0), (0, 1)))
+    phi = PolyMatrix(Q, [[a, b], [0, a]])
+    psi = PolyMatrix(Q, [[a, -b], [0, a]])
+    assert slot_residuals(phi, psi, a * a, ("A", "B")) == []
+    assert slot_residuals(phi, phi, a * a, ("A", "B")) == ["[0,1] 2*A*B"]
 
 
 def test_matrix_text_round_trip():
