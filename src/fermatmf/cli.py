@@ -5,8 +5,11 @@ field.  Reports are deterministic for fixed arguments and seed: checks are
 emitted in a canonical order and JSON keys are sorted.  Exit status is 0
 when no check failed (an inconclusive answer does not fail the run), 1 when
 a verification failed or the reader closed the output pipe early, and 2 for
-usage errors, a ``--field`` without the cube roots of unity a command needs
-among them.
+usage errors.  ``main`` is the one place that turns an error into exit 2:
+every error the package raises on bad input is a ``FermatmfError`` (a
+malformed id, matrix or value, a ``--field`` without the cube roots of
+unity a command needs), and ``main`` prints it as ``error: <message>``.
+Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ import json
 import os
 import sys
 
-from .field import UnsupportedFieldError, omega_field, rationals, sextic_field
+from .field import FermatmfError, omega_field, rationals, sextic_field
 from .poly import ParseError, parse_scalar
-from .matrix import MatrixError, determinant, format_one_line, parse_matrix, pfaffian
+from .matrix import determinant, format_one_line, parse_matrix, pfaffian
 from .families import CurvePoint, FamilyError, FamilyId, GammaBlock, build_six_gen
-from .equiv import EquivError, enumerate_classes, linear_reduction, scalar_equivalence
+from .equiv import enumerate_classes, linear_reduction, scalar_equivalence
 from .moduli6 import (
-    ModuliError,
     ModuliPoint,
     gamma2_solve,
     group_action,
@@ -31,7 +33,7 @@ from .moduli6 import (
 )
 
 
-class _UsageError(Exception):
+class _UsageError(FermatmfError):
     """Bad arguments: reported on stderr with exit status 2."""
 
 
@@ -99,10 +101,6 @@ class Report:
 
 # -- argument helpers ------------------------------------------------------------
 
-def _field_of(args):
-    return _FIELDS[args.field]()
-
-
 def _parse_values(field, text, count, what):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
@@ -127,18 +125,7 @@ def _budget(text):
 def _parse_point(field, text):
     if text is None:
         raise _UsageError("--lambda A,B is required")
-    a, b = _parse_values(field, text, 2, "--lambda")
-    try:
-        return CurvePoint.affine(field, a, b)
-    except FamilyError as err:
-        raise _UsageError(str(err))
-
-
-def _parse_family(field, text):
-    try:
-        return FamilyId.parse(field, text)
-    except (FamilyError, ParseError) as err:
-        raise _UsageError(str(err))
+    return CurvePoint.affine(field, *_parse_values(field, text, 2, "--lambda"))
 
 
 def _read_matrix(field, source):
@@ -150,10 +137,7 @@ def _read_matrix(field, source):
                 text = handle.read()
         except OSError as err:
             raise _UsageError(str(err))
-    try:
-        return parse_matrix(field, text)
-    except (MatrixError, ParseError) as err:
-        raise _UsageError(str(err))
+    return parse_matrix(field, text)
 
 
 def _built_matrix(fid):
@@ -163,11 +147,10 @@ def _built_matrix(fid):
 
 # -- subcommand handlers ---------------------------------------------------------
 
-def _cmd_verify(args):
-    field = _field_of(args)
+def _cmd_verify(args, field):
     report = Report("verify")
     if args.family:
-        ids = [_parse_family(field, args.family)]
+        ids = [FamilyId.parse(field, args.family)]
     elif args.all:
         ids = []
         for catalog in _CATALOG_ORDER:
@@ -191,35 +174,24 @@ def _cmd_verify(args):
     return report
 
 
-def _cmd_enumerate(args):
-    field = _field_of(args)
+def _cmd_enumerate(args, field):
     report = Report("enumerate")
-    try:
-        classes = enumerate_classes(args.catalog, field)
-    except EquivError as err:
-        raise _UsageError(str(err))
+    classes = enumerate_classes(args.catalog, field)
     report.add(args.catalog, "enumerate", "pass", count=classes.count,
                representatives=[str(fid) for fid in classes.representatives])
     return report
 
 
-def _cmd_equiv(args):
-    field = _field_of(args)
+def _cmd_equiv(args, field):
     report = Report("equiv")
-    left = _parse_family(field, args.left)
-    right = _parse_family(field, args.right)
-    try:
-        lmat = _built_matrix(left)
-        rmat = _built_matrix(right)
-    except FamilyError as err:
-        raise _UsageError(str(err))
+    left = FamilyId.parse(field, args.left)
+    right = FamilyId.parse(field, args.right)
+    lmat = _built_matrix(left)
+    rmat = _built_matrix(right)
     if args.reduced:
         lmat = linear_reduction(lmat)
         rmat = linear_reduction(rmat)
-    try:
-        verdict = scalar_equivalence(lmat, rmat)
-    except (EquivError, MatrixError) as err:
-        raise _UsageError(str(err))
+    verdict = scalar_equivalence(lmat, rmat)
     data = verdict.to_json(pair=(str(left), str(right)))
     report.add("%s vs %s" % (left, right), "scalar_equivalence",
                verdict.outcome, method=data["method"],
@@ -228,30 +200,22 @@ def _cmd_equiv(args):
     return report
 
 
-def _cmd_moduli_solve(args):
-    field = _field_of(args)
+def _cmd_moduli_solve(args, field):
     report = Report("moduli solve")
     lam = _parse_point(field, args.lam)
     free = _parse_values(field, args.free, 3, "--free")
-    try:
-        gamma = gamma2_solve(lam, free)
-        rank, nullity = linear_system_nullity(lam)
-    except ModuliError as err:
-        raise _UsageError(str(err))
+    gamma = gamma2_solve(lam, free)
+    rank, nullity = linear_system_nullity(lam)
     report.add(str(lam), "gamma2_solve", "pass",
                gamma=[str(gamma.a(i)) for i in range(1, 16)],
                rank=rank, nullity=nullity)
     return report
 
 
-def _cmd_moduli_sample(args):
-    field = _field_of(args)
+def _cmd_moduli_sample(args, field):
     report = Report("moduli sample")
     lam = _parse_point(field, args.lam)
-    try:
-        point = sample_moduli_point(lam, args.seed, args.budget)
-    except ModuliError as err:
-        raise _UsageError(str(err))
+    point = sample_moduli_point(lam, args.seed, args.budget)
     if point is None:
         report.add(str(lam), "sample", "inconclusive", seed=args.seed,
                    detail="no certified point within budget %d" % args.budget)
@@ -262,8 +226,7 @@ def _cmd_moduli_sample(args):
     return report
 
 
-def _cmd_moduli_act(args):
-    field = _field_of(args)
+def _cmd_moduli_act(args, field):
     report = Report("moduli act")
     lam = _parse_point(field, args.lam)
     if args.matrix is None:
@@ -279,23 +242,15 @@ def _cmd_moduli_act(args):
     coeffs = None
     if args.coeffs is not None:
         coeffs = _parse_values(field, args.coeffs, 4, "--coeffs")
-    try:
-        moved = group_action(args.kind, lam, mat, k=k, coeffs=coeffs)
-    except ModuliError as err:
-        raise _UsageError(str(err))
+    moved = group_action(args.kind, lam, mat, k=k, coeffs=coeffs)
     report.add(str(lam), "action_%s" % args.kind, "pass",
                matrix=format_one_line(moved))
     return report
 
 
-def _cmd_evaluate(args):
-    field = _field_of(args)
+def _cmd_evaluate(args, field):
     report = Report(args.command)
-    mat = _read_matrix(field, args.matrix)
-    try:
-        value = args.evaluate(mat)
-    except MatrixError as err:
-        raise _UsageError(str(err))
+    value = args.evaluate(_read_matrix(field, args.matrix))
     report.add("input matrix", args.command, "pass", value=str(value))
     return report
 
@@ -399,8 +354,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        report = args.handler(args)
-    except (_UsageError, UnsupportedFieldError) as err:
+        report = args.handler(args, _FIELDS[args.field]())
+    except FermatmfError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     try:

@@ -15,7 +15,7 @@ import itertools
 import random
 
 from .families import FamilyId, SigmaPerm
-from .field import omega_field, special_roots
+from .field import FermatmfError, omega_field, special_roots
 from .matrix import (MatrixError, PolyMatrix, determinant, expand_determinant,
                      field_nullspace, field_rref, format_one_line, minors)
 from .poly import LINEAR_EXPS, Polynomial, grlex_key
@@ -31,7 +31,7 @@ _SAMPLE_BOUND = 10 ** 6
 _LINEAR_INDEX = {e: v for v, e in enumerate(LINEAR_EXPS)}
 
 
-class EquivError(ValueError):
+class EquivError(FermatmfError):
     """Raised for malformed inputs to the equivalence toolkit."""
 
 

@@ -23,7 +23,7 @@ name, omega, nu or nubar) is its pair swapped by
 
 from __future__ import annotations
 
-from .field import TowerError, omega_field, rationals
+from .field import FermatmfError, TowerError, omega_field, rationals
 from .matrix import (
     MatrixFactorization,
     PolyMatrix,
@@ -37,7 +37,7 @@ from .matrix import (
 from .poly import Polynomial, fermat_cubic, fermat_cubic3, parse_scalar
 
 
-class FamilyError(ValueError):
+class FamilyError(FermatmfError):
     """Raised when family parameters violate their defining constraints."""
 
 

@@ -31,7 +31,12 @@ from math import gcd, lcm, prod
 from operator import add, sub
 
 
-class TowerError(Exception):
+class FermatmfError(ValueError):
+    """Base of every error the package raises on bad input; the command
+    line reports each as a usage error."""
+
+
+class TowerError(FermatmfError):
     """Malformed tower description or mixed-field operands."""
 
 
@@ -339,17 +344,7 @@ class FieldElement:
             return self.inv() ** (-n)
         if n == 0:
             return self.field.one()
-        # square-and-multiply from the low bit, squaring only while bits
-        # remain: x ** 1, x ** 2, x ** 3 cost 0, 1, 2 products
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return power(self, n)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -361,6 +356,11 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element equals its int or Fraction, so it hashes as
+        # that Fraction does
+        if self.is_rational():
+            n = self._nums[0]
+            return hash(n) if self._den == 1 else hash(Fraction(n, self._den))
         return hash((id(self.field), self._nums, self._den))
 
     def __bool__(self):
@@ -379,6 +379,20 @@ class FieldElement:
         return _fmt_value(self.field, coeffs, len(self.field.levels))
 
     __repr__ = __str__
+
+
+def power(base, n):
+    """base ** n for an int n >= 1, by square-and-multiply from the low
+    bit, squaring only while bits remain: x ** 1, x ** 2, x ** 3 cost 0, 1,
+    2 products."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 _new_element = object.__new__

@@ -1,8 +1,10 @@
 """Dense small matrices over Polynomial: determinant, adjugate, Pfaffians,
-and the matrix-factorization identity check.
+and the matrix-factorization identity check, which returns the certified
+pair or raises a MatrixError naming every residual entry.
 
-Everything here is exact.  Sizes stay at 8 or below, so determinants use
-cofactor-style expansion (memoized over column subsets), minors and
+Everything here is exact.  Sizes stay at 8 or below (``determinant`` and
+``pfaffian`` refuse larger input), so determinants use cofactor-style
+expansion (memoized over column subsets), minors and
 adjugates come from one table of all minors up to a size (``minors``), and
 Pfaffians use the first-row expansion
 
@@ -22,11 +24,15 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
-from .field import FieldElement, TowerError
+from .field import FermatmfError, FieldElement, TowerError
 from .poly import NVARS, Polynomial, parse
 
+# the largest n for which determinant and pfaffian expand an n x n matrix;
+# their memo tables hold 2^n entries
+MAX_SIZE = 8
 
-class MatrixError(ValueError):
+
+class MatrixError(FermatmfError):
     pass
 
 
@@ -242,8 +248,15 @@ def expand_determinant(grid, one, zero):
     return table[(1 << n) - 1]
 
 
+def _require_small(M, what):
+    if max(M.nrows, M.ncols) > MAX_SIZE:
+        raise MatrixError("%s of a %dx%d matrix: sizes stop at %dx%d"
+                          % (what, M.nrows, M.ncols, MAX_SIZE, MAX_SIZE))
+
+
 def determinant(M):
-    """Exact determinant of a square PolyMatrix."""
+    """Exact determinant of a square PolyMatrix of size at most MAX_SIZE."""
+    _require_small(M, "determinant")
     if not M.is_square():
         raise MatrixError("determinant of a non-square matrix")
     return expand_determinant(M.entries, Polynomial.one(M.field, M.nvars),
@@ -337,7 +350,9 @@ def _pf_recursive(M, indices, memo):
 
 
 def pfaffian(M):
-    """Pfaffian of an even skew matrix; Pf(M)^2 = det(M)."""
+    """Pfaffian of an even skew matrix of size at most MAX_SIZE; Pf(M)^2 =
+    det(M)."""
+    _require_small(M, "Pfaffian")
     _require_skew(M, 0)
     return _pf_recursive(M, tuple(range(M.nrows)), {})
 
@@ -402,22 +417,21 @@ def assemble_gorenstein_skew(d2, v):
 
 
 class MatrixFactorization:
-    """A certified pair (phi, psi) with phi*psi = psi*phi = f*Id.
+    """A pair (phi, psi) with phi*psi = psi*phi = f*Id.
 
-    It is certified by one of: the literal product phi*psi
+    The type itself checks nothing: whoever builds one has certified the
+    pair, by one of the literal product phi*psi
     (``verify_matrix_factorization``); the generic identity of a slot row
     (``slot_residuals``) with a form set that fills the row; det(phi) = f
     when psi is ``adjugate(phi)``; or Pf(phi) = f when psi is
     ``pfaffian_adjoint(phi)``."""
 
-    __slots__ = ("phi", "psi", "f", "verified")
-    ok = True
+    __slots__ = ("phi", "psi", "f")
 
     def __init__(self, phi, psi, f):
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "verified", True)
 
     def __setattr__(self, *_):
         raise AttributeError("MatrixFactorization is immutable")
@@ -432,30 +446,19 @@ class MatrixFactorization:
         return MatrixFactorization(self.psi, self.phi, self.f)
 
     def __repr__(self):
-        return "MatrixFactorization(n=%d, verified)" % self.size
+        return "MatrixFactorization(n=%d)" % self.size
 
 
-class VerificationFailure:
-    """The nonzero residual entries of phi*psi - f*Id, the one product
-    that certifies (``verify_matrix_factorization``)."""
+def slot_residuals(phi, psi, f, symbols=None):
+    """The nonzero entries of phi*psi - f*Id, each printed as "[i,j]
+    residual" in ``symbols``, one name per variable (x1, x2, ... by
+    default); an empty list proves phi*psi = f*Id.
 
-    ok = False
-
-    def __init__(self, phi, psi, f, residuals):
-        self.phi = phi
-        self.psi = psi
-        self.f = f
-        self.residuals = residuals  # list of (product tag, i, j, polynomial)
-
-    def __repr__(self):
-        spots = ", ".join("%s[%d,%d]" % (tag, i, j)
-                          for tag, i, j, _ in self.residuals[:4])
-        more = "" if len(self.residuals) <= 4 else ", ..."
-        return "VerificationFailure(%s%s)" % (spots, more)
-
-
-def _residuals(phi, psi, f):
-    """The nonzero entries of phi*psi - f*Id, as (i, j, polynomial)."""
+    For a display filled with slot symbols, phi, psi and f are polynomials
+    in one variable per symbol.  The identity then holds for every
+    instance of the display: a ring map that sends the symbols to a
+    listing's forms sends it to the listing's phi*psi = f*Id.
+    """
     if not (phi.is_square() and psi.is_square()) or phi.nrows != psi.nrows:
         raise MatrixError("factors must be square of equal size")
     if phi.field is not psi.field or (isinstance(f, Polynomial) and f.field is not phi.field):
@@ -466,7 +469,7 @@ def _residuals(phi, psi, f):
     n = phi.nrows
     diff = phi * psi - PolyMatrix.identity(phi.field, n, scale=f,
                                            nvars=phi.nvars)
-    return [(i, j, diff.entries[i][j])
+    return ["[%d,%d] %s" % (i, j, diff.entries[i][j].format(symbols))
             for i in range(n) for j in range(n) if diff.entries[i][j]]
 
 
@@ -478,28 +481,13 @@ def verify_matrix_factorization(phi, psi, f):
     f*Id follows.  f = 0 is refused, since there the implication fails
     (phi = [[0,1],[0,0]], psi = [[1,0],[0,0]]).
 
-    Returns a MatrixFactorization on success and a VerificationFailure
-    listing every nonzero residual entry otherwise (failure is data, not an
-    exception, so sweeps can localize print typos).
+    Returns the MatrixFactorization, or raises MatrixError listing every
+    nonzero entry of phi*psi - f*Id.
     """
-    residuals = [("phi*psi",) + spot for spot in _residuals(phi, psi, f)]
+    residuals = slot_residuals(phi, psi, f)
     if residuals:
-        return VerificationFailure(phi, psi, f, residuals)
+        raise MatrixError("phi*psi != f*Id: %s" % "; ".join(residuals))
     return MatrixFactorization(phi, psi, f)
-
-
-def slot_residuals(phi, psi, f, symbols):
-    """Prove phi*psi = f*Id for a display filled with slot symbols.
-
-    phi, psi and f are polynomials in one variable per name in
-    ``symbols``.  Returns the nonzero entries of phi*psi - f*Id, each
-    printed as "[i,j] residual" in those names; an empty list proves the
-    identity.  It then holds for every instance of the display: a ring map
-    that sends the symbols to a listing's forms sends this identity to the
-    listing's phi*psi = f*Id.
-    """
-    return ["[%d,%d] %s" % (i, j, p.format(symbols))
-            for i, j, p in _residuals(phi, psi, f)]
 
 
 # -- exact linear algebra over the coefficient field ---------------------------

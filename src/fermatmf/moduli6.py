@@ -29,6 +29,7 @@ from .families import (
     build_six_gen,
     transport_matrices,
 )
+from .field import FermatmfError
 from .matrix import (
     PolyMatrix,
     adjugate,
@@ -41,7 +42,7 @@ from .poly import fermat_cubic
 from .equiv import enumerate_classes, scalar_equivalence
 
 
-class ModuliError(ValueError):
+class ModuliError(FermatmfError):
     """Raised when a pencil operation gets arguments outside its chart."""
 
 

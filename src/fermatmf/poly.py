@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .field import FieldElement, TowerError, format_sum
+from .field import FermatmfError, FieldElement, TowerError, format_sum, power
 
 NVARS = 4
 # the exponent tuples of x1..x4: every variable, and so every linear term
@@ -33,7 +33,7 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
-class ParseError(ValueError):
+class ParseError(FermatmfError):
     """Syntax error in the polynomial grammar; carries the position."""
 
     def __init__(self, message, position):
@@ -196,17 +196,7 @@ class Polynomial:
             return NotImplemented
         if n == 0:
             return Polynomial.one(self.field, self.nvars)
-        # square-and-multiply from the low bit, squaring only while bits
-        # remain: p ** 1, p ** 2, p ** 3 cost 0, 1, 2 products
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return power(self, n)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -226,12 +216,6 @@ class Polynomial:
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, self.field.zero())
-
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def is_constant(self):
         return not self.terms or set(self.terms) == {(0,) * self.nvars}

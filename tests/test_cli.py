@@ -330,6 +330,78 @@ def test_pfaffian_rejects_non_skew_input(capsys, monkeypatch):
     assert not out
 
 
+_ALPHA3 = "alpha3:b=-1,c=-1,d=-1,eps=w"
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["verify", "--family", "nope:a=1"], None,
+     "unknown family name 'nope'"),
+    (["enumerate", "--catalog", "everything"], None,
+     "unknown catalog 'everything'"),
+    (["equiv", "--left", _ALPHA3, "--right", "rho:sigma=234,a=-1,b=-w,u=w"],
+     None, "dimension mismatch: 3x3 vs 5x5"),
+    (["moduli", "solve", "--lambda", "1,1"], None,
+     "point does not lie on the curve f3 = 0"),
+    (["moduli", "sample", "--lambda", "0,q"], None,
+     "--lambda: unknown name 'q' (at position 0)"),
+    (["moduli", "act", "--lambda", "0,-1", "--kind", "Uk"], None,
+     "kind Uk needs the scale k"),
+    (["det"], "x1, x2; x3", "ragged rows"),
+    (["pfaffian"], "x1, 0; 0, x1", "matrix is not skew-symmetric"),
+], ids=["verify", "enumerate", "equiv", "moduli_solve", "moduli_sample",
+        "moduli_act", "det", "pfaffian"])
+def test_malformed_input_is_one_error_line(capsys, monkeypatch, argv, stdin,
+                                           message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err == "error: %s\n" % message
+
+
+def _bidiagonal(n):
+    return "; ".join(", ".join("x1" if j == i else "x2" if j == i + 1 else "0"
+                               for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("command, what", [("det", "determinant"),
+                                           ("pfaffian", "Pfaffian")])
+def test_matrices_above_8x8_are_refused_before_expansion(
+        capsys, monkeypatch, command, what):
+    from fermatmf import matrix
+
+    def no_expansion(*_):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(matrix, "expand_determinant", no_expansion)
+    monkeypatch.setattr(matrix, "_pf_recursive", no_expansion)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_bidiagonal(9)))
+    code, out, err = run(capsys, [command])
+    assert code == 2 and not out
+    assert err == "error: %s of a 9x9 matrix: sizes stop at 8x8\n" % what
+
+
+def test_an_8x8_determinant_still_expands(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_bidiagonal(8)))
+    code, data = run_json(capsys, ["det"])
+    assert code == 0
+    assert data["checks"][0]["value"] == "x1^8"
+
+
+@pytest.mark.parametrize("exc", [KeyError, ValueError])
+def test_a_non_package_exception_propagates(monkeypatch, exc):
+    # main maps FermatmfError alone, so a bug in a handler is not reported
+    # as a usage error
+    from fermatmf import cli
+
+    def broken(args, field):
+        raise exc("bug")
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", broken)
+    with pytest.raises(exc):
+        main(["enumerate", "--catalog", "rank2_3gen"])
+
+
 def test_the_json_report_is_versioned(capsys):
     _, data = run_json(capsys, ["enumerate", "--catalog", "rank2_3gen"])
     assert data["schema"] == 1

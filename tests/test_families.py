@@ -28,6 +28,7 @@ from fermatmf.families import (
 from fermatmf.equiv import enumerate_classes
 from fermatmf.field import omega_field, sextic_field, special_roots
 from fermatmf.matrix import (
+    MatrixError,
     PolyMatrix,
     block,
     determinant,
@@ -45,6 +46,11 @@ CUBE_ROOTS = ROOTS.roots_of_minus_one          # -1, -w, -w^2
 PRIMITIVE = ROOTS.primitive_cube_roots         # w, w^2
 f = fermat_cubic(F)
 f3 = fermat_cubic3(F)
+
+
+def literal(mf):
+    """The raising literal check phi*psi = f*Id of a built pair."""
+    return verify_matrix_factorization(mf.phi, mf.psi, mf.f)
 
 
 def x(i):
@@ -187,8 +193,8 @@ def test_point_forms_in_all_three_charts():
 
 def test_alpha3_standard_instance():
     r = RootData(F, a=-W * W, b=-1, c=-1, d=-1, eps=W)
-    mf = build_rank1_3gen("alpha3", r)
-    assert mf.ok and mf.size == 3
+    mf = literal(build_rank1_3gen("alpha3", r))
+    assert mf.size == 3
     assert mf.phi[0, 1] == x(1) - (-W * W) * x(4)
     assert mf.f == f
 
@@ -198,15 +204,13 @@ def test_beta3_is_the_transpose_family():
     alpha = build_rank1_3gen("alpha3", r)
     beta = build_rank1_3gen("beta3", r)
     assert beta.phi == alpha.phi.transpose()
-    assert beta.ok
+    literal(beta)
 
 
 def test_eta3_and_theta3():
-    mf = build_rank1_3gen("eta3", RootData(F, a=-1, b=-W, c=-W * W, eps=W))
-    assert mf.ok
+    mf = literal(build_rank1_3gen("eta3", RootData(F, a=-1, b=-W, c=-W * W, eps=W)))
     assert mf.phi[1, 2] == 0
-    mf = build_rank1_3gen("theta3", RootData(F, a=-1, b=-W, c=-W * W))
-    assert mf.ok
+    literal(build_rank1_3gen("theta3", RootData(F, a=-1, b=-W, c=-W * W)))
     with pytest.raises(FamilyError):
         build_rank1_3gen("eta3", RootData(F, a=-1, b=-1, c=-W, eps=W))
 
@@ -218,34 +222,31 @@ def test_three_generated_sweeps():
         for eps in PRIMITIVE:
             a = b * c * d / eps
             r = RootData(F, a=a, b=b, c=c, d=d, eps=eps)
-            assert build_rank1_3gen("alpha3", r).ok
+            literal(build_rank1_3gen("alpha3", r))
             count += 1
     assert count == 54
     # eta3 / theta3: (a,b,c) a permutation of the three roots
     for a, b, c in itertools.permutations(CUBE_ROOTS):
         for eps in PRIMITIVE:
-            assert build_rank1_3gen("eta3", RootData(F, a=a, b=b, c=c, eps=eps)).ok
-        assert build_rank1_3gen("theta3", RootData(F, a=a, b=b, c=c)).ok
+            literal(build_rank1_3gen("eta3", RootData(F, a=a, b=b, c=c, eps=eps)))
+        literal(build_rank1_3gen("theta3", RootData(F, a=a, b=b, c=c)))
 
 
 def test_curve_alpha_on_both_charts():
-    mf = build_curve_alpha(CurvePoint.affine(F, 0, -1))
-    assert mf.ok and mf.f == f3
-    mf = build_curve_alpha(CurvePoint.at_infinity(F, -W))
-    assert mf.ok
+    mf = literal(build_curve_alpha(CurvePoint.affine(F, 0, -1)))
+    assert mf.f == f3
+    mf = literal(build_curve_alpha(CurvePoint.at_infinity(F, -W)))
     assert mf.phi[0, 2] == x(3)
     K = sextic_field()
     g = K.gen("g")
-    mf = build_curve_alpha(CurvePoint.affine(K, 1, g))
-    assert mf.ok  # self-dual point with b^3 = -2
+    literal(build_curve_alpha(CurvePoint.affine(K, 1, g)))  # b^3 = -2
 
 
 # -- orientable 4x4 --------------------------------------------------------------
 
 def test_phi_lambda_is_skew_with_pfaffian_f():
     lam = SurfacePoint(F, (0, 0, -1, 1))
-    mf = build_orientable_4gen("phi_lambda", lam=lam)
-    assert mf.ok
+    mf = literal(build_orientable_4gen("phi_lambda", lam=lam))
     assert mf.phi.is_skew() and mf.psi.is_skew()
     assert pfaffian(mf.phi) == f
     assert pfaffian(mf.psi) == f
@@ -258,25 +259,23 @@ def test_phi_lambda_is_skew_with_pfaffian_f():
 def test_phi_sigma_entries_and_beta_slot():
     sigma = SigmaPerm(2, 3, 4)
     r = RootData(F, a=-1, b=-1, u=W)
-    mf = build_orientable_4gen("phi_sigma", sigma=sigma, r=r)
-    assert mf.ok
+    mf = literal(build_orientable_4gen("phi_sigma", sigma=sigma, r=r))
     fs = building_blocks(sigma, r)
     assert mf.phi[1, 3] == fs.w2
     assert mf.phi[1, 2] == -x(3) * x(4)  # the default slot x_j*x_s
     assert pfaffian(mf.phi) == f
     # the identity does not depend on the slot at all
-    custom = build_orientable_4gen("phi_sigma", sigma=sigma, r=r,
-                                   beta=x(1) * x(1))
-    assert custom.ok
+    custom = literal(build_orientable_4gen("phi_sigma", sigma=sigma, r=r,
+                                           beta=x(1) * x(1)))
     assert pfaffian(custom.phi) == f
 
 
 def test_orientable_4gen_sweep():
     for coords in ((0, 0, -1, 1), (-1, 0, 1, 0), (-W, 1, 0, 0)):
         lam = SurfacePoint(F, coords)
-        assert build_orientable_4gen("phi_lambda", lam=lam).ok
+        literal(build_orientable_4gen("phi_lambda", lam=lam))
     for sigma, r in _root_sweep():
-        assert build_orientable_4gen("phi_sigma", sigma=sigma, r=r).ok
+        literal(build_orientable_4gen("phi_sigma", sigma=sigma, r=r))
 
 
 # -- non-orientable 4x4 ----------------------------------------------------------
@@ -300,7 +299,7 @@ def test_nonorientable_full_sweep_432():
     for sigma, r in _root_sweep():
         for t in (1, 2, 3, 4):
             for kind in ("phi", "psi"):
-                assert build_nonorientable_4gen(t, kind, sigma, r).ok
+                build_nonorientable_4gen(t, kind, sigma, r)
                 count += 1
     assert count == 432
 
@@ -326,7 +325,7 @@ def test_5gen_normalized_sweep_162():
     for sigma, r in _root_sweep():
         for kind in ("rho", "mu", "mubar"):
             mf = build_5gen(kind, sigma, r)
-            assert mf.ok and mf.size == 5
+            assert mf.size == 5
             count += 1
     assert count == 162
 
@@ -335,7 +334,7 @@ def test_5gen_unnormalized_sweep_108():
     count = 0
     for sigma, r in _root_sweep():
         for kind in ("rho", "mu"):
-            assert build_5gen(kind, sigma, r, normalized=False).ok
+            literal(build_5gen(kind, sigma, r, normalized=False))
             count += 1
     assert count == 108
 
@@ -350,7 +349,9 @@ def test_omega_sign_correction_is_forced():
         rows = [list(row) for row in mf.psi.rows()]
         rows[2][1] = -rows[2][1]
         uncorrected = PolyMatrix(F, rows)
-        assert not verify_matrix_factorization(mf.phi, uncorrected, f).ok
+        with pytest.raises(MatrixError, match=r"^phi\*psi != f\*Id: "
+                           r"\[0,1\] [^;]*; \[2,1\] [^;]*$"):
+            verify_matrix_factorization(mf.phi, uncorrected, f)
 
 
 # -- ideals ----------------------------------------------------------------------
@@ -482,16 +483,16 @@ def test_family_id_round_trip_and_build():
     fid = FamilyId.parse(F, "phi_t_sigma:t=1,sigma=234,a=-1,b=-w,u=w")
     assert str(fid) == "phi_t_sigma:t=1,sigma=234,a=-1,b=-w,u=w"
     assert FamilyId.parse(F, str(fid)) == fid
-    mf = fid.build()
-    assert mf.ok and mf.size == 4
-    assert FamilyId.parse(F, "psi_lambda:lam=0:0:-1:1").build().ok
-    assert FamilyId.parse(F, "theta3:a=-1,b=-w,c=-w*w").build().ok
+    mf = literal(fid.build())
+    assert mf.size == 4
+    literal(FamilyId.parse(F, "psi_lambda:lam=0:0:-1:1").build())
+    literal(FamilyId.parse(F, "theta3:a=-1,b=-w,c=-w*w").build())
     rho = FamilyId.parse(F, "rho:sigma=234,a=-1,b=-1,u=w")
     omega = FamilyId.parse(F, "omega:sigma=234,a=-1,b=-1,u=w")
     assert omega.build().phi == rho.build().psi
     unnorm = FamilyId.parse(F, "mu:sigma=234,a=-1,b=-1,u=w,normalized=0")
     assert "normalized=0" in str(unnorm)
-    assert unnorm.build().ok
+    literal(unnorm.build())
 
 
 def test_family_id_errors():
@@ -637,8 +638,7 @@ def test_every_catalog_listing_passes_the_literal_product():
     count = 0
     for catalog in ("rank2_3gen", "nonorientable_4gen", "nonorientable_5gen"):
         for fid in enumerate_classes(catalog).representatives:
-            mf = fid.build()
-            assert verify_matrix_factorization(mf.phi, mf.psi, mf.f).ok, fid
+            literal(fid.build())
             count += 1
     assert count == 666
 
@@ -666,4 +666,4 @@ def test_a_flipped_display_entry_fails_its_row_proof(monkeypatch):
         "[0,1] 2*W1*V2'*V2''; [2,1] -2*W1*V1''*V2''")
     # once the display is mended, rho proves again
     monkeypatch.setitem(families._SLOT_ROWS, "rho", (display, slots, order))
-    assert build_5gen("rho", sigma, r).ok
+    literal(build_5gen("rho", sigma, r))

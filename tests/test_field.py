@@ -252,3 +252,26 @@ def test_rational_detection():
     assert not w.is_rational()
     assert (w + w * w).is_rational()  # equals -1
     assert (w + w * w).as_rational() == -1
+
+
+@pytest.mark.parametrize("make", [omega_field, sextic_field, rationals])
+def test_a_rational_element_hashes_as_the_number_it_equals(make):
+    F = make()
+    for number in (2, 0, -7, 10 ** 30, Fraction(1, 2), Fraction(-5, 3)):
+        element = F(number)
+        assert element == number
+        assert hash(element) == hash(number)
+        assert element in {number} and number in {element}
+        assert {number: "x"}[element] == "x"
+        assert {element: "x"}[number] == "x"
+
+
+def test_an_irrational_element_stays_distinct_from_every_int():
+    F = omega_field()
+    w = F.gen("w")
+    for element in (w, w + 1, 2 * w * w - 3, w / 2):
+        assert not element.is_rational()
+        assert element not in set(range(-100, 101))
+        assert all(n not in {element} for n in range(-100, 101))
+    # -w - w^2 is the rational 1, reached through irrational operands
+    assert -w - w * w in {1}

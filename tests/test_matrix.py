@@ -23,7 +23,7 @@ from fermatmf.matrix import (
     slot_residuals,
     verify_matrix_factorization,
 )
-from fermatmf.poly import Polynomial, fermat_cubic, parse
+from fermatmf.poly import Polynomial, parse
 
 F = omega_field()
 
@@ -233,23 +233,19 @@ def test_matrix_products_and_transpose():
 
 
 def test_verify_matrix_factorization_success_and_failure():
-    f = fermat_cubic(F)
-    phi = PolyMatrix(F, [[x(1), x(2)], [x(2) ** 2, -(x(1) ** 2) + x(1) * x(2)]])
-    # make an honest 2x2 example instead: phi * adj(phi) = det(phi) Id
+    # an honest 2x2 example: phi * adj(phi) = det(phi) Id
     phi = PolyMatrix(F, [[x(1), -x(2)], [x(2) ** 2, x(1) ** 2]])
     psi = adjugate(phi)
     d = determinant(phi)
     result = verify_matrix_factorization(phi, psi, d)
-    assert result.ok
-    assert result.verified
+    assert (result.phi, result.psi, result.f) == (phi, psi, d)
     assert result.size == 2
-    # now perturb one entry; residuals must localize the damage
+    # now perturb one entry; the error names every residual entry, printed
+    # in x1..x4 as slot_residuals prints them
     bad = PolyMatrix(F, [[x(1), -x(2)], [x(2) ** 2, x(1) ** 2 + x(3)]])
-    failure = verify_matrix_factorization(bad, psi, d)
-    assert not failure.ok
-    assert failure.residuals
-    touched = {(i, j) for _, i, j, _ in failure.residuals}
-    assert any(1 in pair for pair in touched)
+    with pytest.raises(MatrixError) as err:
+        verify_matrix_factorization(bad, psi, d)
+    assert str(err.value) == "phi*psi != f*Id: [1,0] -x2^2*x3; [1,1] x1*x3"
     # one product certifies only when f != 0: here phi*psi = 0 but psi*phi != 0
     one = Polynomial.constant(F, F(1))
     zero = Polynomial.zero(F)
