@@ -5,11 +5,12 @@ it against x1^3 + x2^3 + x3^3 + x4^3 yields ten equations in the fifteen
 Gamma parameters.  Six are linear in the Gamma2 entries and admit printed
 closed-form solutions; the other four are the residual system.  This module
 evaluates the equations exactly, each caller only the system it reads: the
-six linear ones, the three residuals solved for the Gamma3 entries, or the
-four residuals of the re-check.  It solves the linear part in both
-branches, samples certified points deterministically, applies the three
-group actions, carries the pencil between the two curve charts, and splits
-the pencil into 3x3 blocks when both skew corners vanish.
+six linear ones, three residuals written as one affine system in the Gamma3
+entries and solved from one evaluation, or the four residuals of the
+re-check.  It solves the linear part in both branches, samples certified
+points deterministically, applies the three group actions, carries the
+pencil between the two curve charts, and splits the pencil into 3x3 blocks
+when both skew corners vanish.
 
 Certification is the exact identity Pf(Lambda) = f on the skew pencil; since
 Pf(M)^2 = det(M) for every skew M, it implies det(Lambda) = f^2.  The
@@ -57,8 +58,9 @@ def _affine_field(lam):
 # -- the ten coefficient equations -----------------------------------------------
 #
 # Each equation is written once, in the system its callers read: the six
-# Gamma2-linear ones (i1-i5, i8), the three residuals the Gamma3 solve
-# reads (i6, i7, i9), and the last residual i10, which is only re-checked.
+# Gamma2-linear ones (i1-i5, i8), the three residuals (i6, i7, i9) as the
+# affine system in Gamma3 that the solve reads, and the last residual i10,
+# which is only re-checked.
 
 def _parameters(lam, gamma):
     field = _affine_field(lam)
@@ -84,25 +86,35 @@ def _linear_values(lam, gamma):
     return (i1, i2, i3, i4, i5, i8)
 
 
-def _gamma3_residuals(lam, gamma):
-    """The residuals i6, i7 and i9, which _solve_gamma3 solves.
+def _gamma3_system(lam, gamma):
+    """The residuals i6, i7, i9 as (row, constant) pairs, affine in Gamma3.
 
-    They do not involve the curve point, and with the other entries fixed
-    they are affine-linear in the Gamma3 entries (a4, a5, a6).
+    Each row holds the coefficients of (a4, a5, a6), each constant the
+    Gamma3-free terms; gamma's own Gamma3 and the curve point are not read.
     """
-    _, _, _, (a1, a2, a3, a4, a5, a6, _, _, _, a10, a11, a12, a13, a14,
+    _, _, _, (a1, a2, a3, _, _, _, _, _, _, a10, a11, a12, a13, a14,
               a15) = _parameters(lam, gamma)
-    i6 = (a3 * a4 - a2 * a5 + a1 * a6 + a11 * a11 + a10 * a12 - a11 * a13
-          + a13 * a13 - a10 * a14 - 2 * a12 * a15 - a14 * a15)
-    i7 = (a1 * a4 + a3 * a5 + a2 * a6 - a10 * a10 + a11 * a12 + a12 * a13
-          + 2 * a11 * a14 - a13 * a14 + a10 * a15 - a15 * a15)
-    i9 = (a3 * a5 * a10 - a2 * a6 * a10 - a2 * a5 * a11 - a1 * a6 * a11
-          + a1 * a5 * a12 + a3 * a6 * a12 - a2 * a5 * a13
-          + 2 * a1 * a6 * a13 + a13 ** 3 + a2 * a4 * a14 + a3 * a6 * a14
-          + a10 * a11 * a14 + a12 * a12 * a14 - 2 * a10 * a13 * a14
-          + a12 * a14 * a14 + a3 * a5 * a15 + 2 * a2 * a6 * a15
-          + a11 * a14 * a15 - 2 * a13 * a14 * a15 - a15 ** 3 - 1)
+    i6 = ((a3, -a2, a1),
+          a11 * a11 + a10 * a12 - a11 * a13 + a13 * a13 - a10 * a14
+          - 2 * a12 * a15 - a14 * a15)
+    i7 = ((a1, a3, a2),
+          -a10 * a10 + a11 * a12 + a12 * a13 + 2 * a11 * a14 - a13 * a14
+          + a10 * a15 - a15 * a15)
+    i9 = ((a2 * a14,
+           a3 * a10 - a2 * a11 + a1 * a12 - a2 * a13 + a3 * a15,
+           -a2 * a10 - a1 * a11 + a3 * a12 + 2 * a1 * a13 + a3 * a14
+           + 2 * a2 * a15),
+          a13 ** 3 + a10 * a11 * a14 + a12 * a12 * a14 - 2 * a10 * a13 * a14
+          + a12 * a14 * a14 + a11 * a14 * a15 - 2 * a13 * a14 * a15
+          - a15 ** 3 - 1)
     return (i6, i7, i9)
+
+
+def _gamma3_residuals(lam, gamma):
+    """The residuals i6, i7 and i9: _gamma3_system at gamma's Gamma3."""
+    a4, a5, a6 = gamma.values[3:6]
+    return tuple(r4 * a4 + r5 * a5 + r6 * a6 + constant
+                 for (r4, r5, r6), constant in _gamma3_system(lam, gamma))
 
 
 def _last_residual(lam, gamma):
@@ -310,22 +322,14 @@ def _solve_gamma3(lam, corner, gamma2):
     """A particular (a4, a5, a6) killing the residuals i6, i7, i9, or None.
 
     With everything else fixed the residual system is affine-linear in the
-    Gamma3 entries.  Only those three residuals are evaluated, at the base
-    point and the three unit points; they are solved with free unknowns
-    pinned to zero, and the caller re-checks all four residuals on the
-    assembled block.
+    Gamma3 entries, so _gamma3_system is evaluated once, on the block with
+    a4 = a5 = a6 = 0, and its rows [row | -constant] are row-reduced; free
+    unknowns are pinned to zero, and the caller re-checks all four
+    residuals on the assembled block.
     """
     field = lam.field
-    def residuals(a4, a5, a6):
-        gamma = GammaBlock(field, corner + (a4, a5, a6) + gamma2)
-        return _gamma3_residuals(lam, gamma)
-
-    base = residuals(0, 0, 0)
-    units = (residuals(1, 0, 0), residuals(0, 1, 0), residuals(0, 0, 1))
-    rows = []
-    for k in range(3):
-        rows.append([units[0][k] - base[k], units[1][k] - base[k],
-                     units[2][k] - base[k], -base[k]])
+    system = _gamma3_system(lam, GammaBlock(field, corner + (0, 0, 0) + gamma2))
+    rows = [list(row) + [-constant] for row, constant in system]
     reduced, pivots = field_rref(rows, field, ncols=4)
     if 3 in pivots:
         return None
@@ -342,9 +346,9 @@ def sample_moduli_point(lam, seed, budget):
     Odd attempts draw three free values as well and take the Gamma2 block
     from gamma2_solve; even attempts cycle through the structured catalog
     blocks, which certify whenever the residual solve goes through.  Each
-    candidate solves the residuals i6, i7, i9 for (a4, a5, a6), re-checks
-    all four residuals exactly, and is certified by Pf = f before being
-    returned.  Exhausting the budget returns None.
+    candidate solves the affine system of i6, i7, i9 for (a4, a5, a6) from
+    one evaluation, re-checks all four residuals exactly, and is certified
+    by Pf = f before being returned.  Exhausting the budget returns None.
     """
     field = _affine_field(lam)
     rng = random.Random(seed)

@@ -354,6 +354,11 @@ def fermat_cubic3(field):
 
 # -- parsing ------------------------------------------------------------------
 
+# A power is expanded as it is parsed, so its exponent and its total degree
+# are bounded: a short input cannot ask for hours of expansion.
+MAX_POWER_DEGREE = 12
+
+
 class _Tokens:
     def __init__(self, text):
         self.text = text
@@ -379,7 +384,10 @@ class _Tokens:
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError("number too long", start) from None
 
     def take_name(self):
         # a name is letters followed by digits, so "x1x2" splits into two
@@ -396,7 +404,9 @@ class _Tokens:
 def parse(field, text):
     """Parse the polynomial grammar over ``field``.
 
-    Variables are x1..x4; ``^`` takes integer powers; ``*`` may be omitted
+    Variables are x1..x4; ``^`` takes an integer exponent of at most
+    ``MAX_POWER_DEGREE``, the power's total degree is at most that too, and
+    powers do not chain (``(x1^2)^3``, not ``x1^2^3``); ``*`` may be omitted
     between variable/generator/parenthesized factors; coefficients are
     rationals ``p/q`` and the field's generator names.
     """
@@ -452,11 +462,19 @@ def _parse_product(field, toks):
 
 def _parse_power(field, toks):
     p = _parse_atom(field, toks)
-    while toks.peek() == "^":
-        toks.pos += 1
-        n = toks.take_int()
-        p = p ** n
-    return p
+    if toks.peek() != "^":
+        return p
+    toks.pos += 1
+    toks._skip_ws()
+    start = toks.pos
+    n = toks.take_int()
+    degree = max(map(sum, p.terms), default=0) * n
+    if n > MAX_POWER_DEGREE or degree > MAX_POWER_DEGREE:
+        raise ParseError("power above exponent or total degree %d"
+                         % MAX_POWER_DEGREE, start)
+    if toks.peek() == "^":
+        toks.error("chained powers need parentheses")
+    return p ** n
 
 
 def _parse_atom(field, toks):

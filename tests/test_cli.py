@@ -381,6 +381,23 @@ def test_matrices_above_8x8_are_refused_before_expansion(
     assert err == "error: %s of a 9x9 matrix: sizes stop at 8x8\n" % what
 
 
+@pytest.mark.parametrize("exponent", [13, 60])
+def test_a_power_above_degree_12_is_refused_before_expansion(
+        capsys, monkeypatch, exponent):
+    from fermatmf import poly
+
+    def no_expansion(*_):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(poly, "power", no_expansion)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("(x1+x2+x3+x4)^%d" % exponent))
+    code, out, err = run(capsys, ["det"])
+    assert code == 2 and not out
+    assert err == ("error: power above exponent or total degree 12 "
+                   "(at position 14)\n")
+
+
 def test_an_8x8_determinant_still_expands(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(_bidiagonal(8)))
     code, data = run_json(capsys, ["det"])

@@ -205,6 +205,73 @@ def test_the_equation_systems_are_slices_of_the_ten_equations():
     assert digest == _EQUATIONS_DIGEST
 
 
+def _with_gamma3(gamma, gamma3):
+    values = gamma.values
+    return GammaBlock(gamma.field, values[:3] + tuple(gamma3) + values[6:])
+
+
+def test_the_gamma3_system_matches_a_four_point_oracle():
+    # the system read off the residuals at the base point and the three unit
+    # points: each row is residuals(unit) - residuals(base), each constant is
+    # residuals(base); it does not depend on (a4, a5, a6)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for lam, gamma in _seeded_cases():
+        base = moduli6._gamma3_residuals(lam, _with_gamma3(gamma, (0, 0, 0)))
+        at_units = [moduli6._gamma3_residuals(lam, _with_gamma3(gamma, u))
+                    for u in units]
+        system = moduli6._gamma3_system(lam, gamma)
+        assert len(system) == 3
+        for k, (row, constant) in enumerate(system):
+            assert tuple(row) == tuple(r[k] - base[k] for r in at_units)
+            assert constant == base[k]
+
+
+def test_a_solved_gamma3_kills_the_three_residuals():
+    solved = 0
+    for lam, gamma in _seeded_cases():
+        corner, gamma2 = gamma.values[:3], gamma.values[6:]
+        gamma3 = moduli6._solve_gamma3(lam, corner, gamma2)
+        if gamma3 is None:
+            continue
+        solved += 1
+        assert not any(moduli6._gamma3_residuals(
+            lam, _with_gamma3(gamma, gamma3)))
+    assert solved
+
+
+def test_a_sample_attempt_evaluates_the_gamma3_system_once(monkeypatch):
+    # count evaluations of the residual system made inside _solve_gamma3;
+    # the re-check of sample_moduli_point is outside it
+    counts = {"solves": 0, "evaluations": 0}
+    inside = []
+
+    def counted_solve(solve):
+        def wrapper(*args):
+            counts["solves"] += 1
+            inside.append(True)
+            try:
+                return solve(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counted(evaluate):
+        def wrapper(*args):
+            if inside:
+                counts["evaluations"] += 1
+            return evaluate(*args)
+        return wrapper
+
+    monkeypatch.setattr(moduli6, "_solve_gamma3",
+                        counted_solve(moduli6._solve_gamma3))
+    monkeypatch.setattr(moduli6, "_gamma3_system",
+                        counted(moduli6._gamma3_system))
+    monkeypatch.setattr(moduli6, "_gamma3_residuals",
+                        counted(moduli6._gamma3_residuals))
+    sample_moduli_point(LAM, 1, 1)
+    assert counts == {"solves": 1, "evaluations": 1}
+
+
 # -- certified points and sampling -----------------------------------------------
 
 def test_certification_is_the_two_exact_identities():

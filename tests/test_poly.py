@@ -113,6 +113,42 @@ def test_parse_errors():
         parse_scalar(F, "x1+1")
 
 
+def test_powers_are_bounded_before_they_expand(monkeypatch):
+    from fermatmf import poly
+
+    assert parse(F, "x1^12") == x(1) ** 12
+    assert parse(F, "(x1^2)^6") == x(1) ** 12
+    assert parse(F, "(x1+x2)^3") == (x(1) + x(2)) ** 3
+    assert parse_scalar(F, "w^12") == 1
+
+    def no_expansion(*_):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(poly, "power", no_expansion)
+    for text, position in (("x1^13", 3), ("(x1+x2+x3+x4)^60", 14),
+                           ("(x1*x1)^7", 8), ("2^13", 2), ("x1 ^ 13", 5)):
+        with pytest.raises(ParseError) as err:
+            parse(F, text)
+        assert err.value.position == position
+        assert "total degree 12" in str(err.value)
+
+
+def test_chained_powers_are_refused():
+    # x1^2^3 reads as (x1^2)^3 or x1^(2^3): the grammar takes neither
+    with pytest.raises(ParseError) as err:
+        parse(F, "x1^2^3")
+    assert err.value.position == 4
+    assert "chained powers" in str(err.value)
+    assert parse(F, "(x1^2)^3") == x(1) ** 6
+
+
+def test_an_overlong_number_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse(F, "x1 + " + "9" * 5000)
+    assert err.value.position == 5
+    assert "number too long" in str(err.value)
+
+
 def test_parse_scalars_and_coefficients():
     w = F.gen("w")
     assert parse_scalar(F, "w") == w
