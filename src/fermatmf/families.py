@@ -4,9 +4,10 @@ Every named family lives here: the 3x3 curve and surface forms, the orientable
 and non-orientable 4x4 pairs, the five 5x5 pairs with their un-normalized
 variants, the ideals they present, and the 6x6 skew pencil x4*Gamma + alpha
 block together with its transport matrices.  Constructors validate their
-parameters eagerly and certify the factorization identity before returning;
-a print discrepancy that breaks phi*psi = f*Id is treated as a defect of the
-source display, fixed here, and documented in ERRATA.md.
+parameters eagerly, and every family id builds a certified pair
+(``FamilyId.build``).  A print discrepancy that breaks phi*psi = f*Id is
+treated as a defect of the source display, fixed here, and documented in
+ERRATA.md.
 
 Each display shape is written once, and no build multiplies matrices.
 The sigma families rest on one splitting f = w1*v1 + w2*v2 with
@@ -15,10 +16,11 @@ v_t = v_t'*v_t''; each is a row of ``_SLOT_ROWS`` that fills the 4x4
 A row is proven once per process over slot symbols, and a listing is
 certified by that proof and its checked form set (``_slot_instance``).
 eta3 and theta3 share one 3x3 display; a 3x3 pair is phi and its
-adjugate, certified by det(phi) = f, and phi_lambda is paired with its
-Pfaffian adjoint, certified by Pf(phi) = f.  A partner name (a ``psi_*``
-name, omega, nu or nubar) is its pair swapped by
-``MatrixFactorization.swapped``.
+adjugate, certified by det(phi) = f, and phi_lambda and the six_gen
+pencil Lambda are paired with their Pfaffian adjoints, certified by
+Pf(phi) = f and Pf(Lambda) = f; ``build_six_gen`` is the raw pencil.
+A partner name (a ``psi_*`` name, omega, nu or nubar) is its pair swapped
+by ``MatrixFactorization.swapped``.
 """
 
 from __future__ import annotations
@@ -791,7 +793,8 @@ def build_ideal(kind, lam=None, sigma=None, r=None, beta=None):
 
 def build_six_gen(lam, gamma):
     """The skew 6x6 pencil Lambda = x4*Gamma + [[0, -alpha^t], [alpha, 0]]
-    over a curve point in chart [a:b:1]."""
+    over a curve point in chart [a:b:1], uncertified: the six_gen id
+    certifies it by Pf(Lambda) = f."""
     if lam.chart != 3:
         raise FamilyError("the 6x6 pencil needs the chart [a:b:1]")
     field = lam.field
@@ -1054,10 +1057,9 @@ class FamilyId(_Frozen):
         return hash((id(self.field), str(self)))
 
     def build(self):
-        """Construct the addressed object: a MatrixFactorization for every
-        matrix family, a PolyMatrix for six_gen.  The pencil is not
-        certified here: Pf(Lambda) = f is ``moduli6.ModuliPoint``'s
-        check."""
+        """The certified MatrixFactorization the id addresses, for every
+        name; the six_gen pencil Lambda is paired with its Pfaffian adjoint
+        and certified by Pf(Lambda) = f, as phi_lambda is."""
         field = self.field
         name = self.name
         p = self.params
@@ -1078,7 +1080,10 @@ class FamilyId(_Frozen):
                 raise FamilyError("%s needs a 4-coordinate point" % name)
             return build_orientable_4gen(name, lam=lam)
         if name == "six_gen":
-            return build_six_gen(self._curve_point(), p["gamma"])
+            pencil = build_six_gen(self._curve_point(), p["gamma"])
+            return _by_invariant(pencil, pfaffian_adjoint(pencil),
+                                 pfaffian(pencil), fermat_cubic(field), name,
+                                 "Pf(Lambda) != f")
         # the sigma families
         r = RootData(field, a=p["a"], b=p["b"], u=p["u"])
         if name in ("phi_sigma", "psi_sigma"):

@@ -423,8 +423,8 @@ class MatrixFactorization:
     pair, by one of the literal product phi*psi
     (``verify_matrix_factorization``); the generic identity of a slot row
     (``slot_residuals``) with a form set that fills the row; det(phi) = f
-    when psi is ``adjugate(phi)``; or Pf(phi) = f when psi is
-    ``pfaffian_adjoint(phi)``."""
+    when psi is ``adjugate(phi)`` (the 3x3 families); or Pf(phi) = f when
+    psi is ``pfaffian_adjoint(phi)`` (phi_lambda and the six_gen pencil)."""
 
     __slots__ = ("phi", "psi", "f")
 

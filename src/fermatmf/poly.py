@@ -489,8 +489,9 @@ def _parse_atom(field, toks):
         toks.pos += 1
         return p
     if ch == "-":
+        # a sign inside a product negates a power: x2*-x1^2 = -(x1^2)*x2
         toks.pos += 1
-        return -_parse_atom(field, toks)
+        return -_parse_power(field, toks)
     if ch.isdigit():
         num = toks.take_int()
         if toks.peek() == "/":

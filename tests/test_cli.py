@@ -83,6 +83,68 @@ def test_verify_certifies_a_six_gen_pencil_by_its_pfaffian(capsys):
     assert data["checks"][0]["outcome"] == "pass"
 
 
+_TEXT_REPORTS = {
+    "verify": (["verify", "--family", "theta3:a=-1,b=-w,c=w+1"], """\
+command: verify
+pass  factorization  theta3:a=-1,b=-w,c=w+1
+summary: 1 checks, 0 failed, 0 inconclusive
+"""),
+    "equiv": (["equiv", "--left", "phi_t_sigma:t=1,sigma=234,a=-1,b=-w,u=w",
+               "--right", "psi_t_sigma:t=3,sigma=234,a=-1,b=-w,u=w^2"], """\
+command: equiv
+equivalent_with_witness  scalar_equivalence  \
+phi_t_sigma:t=1,sigma=234,a=-1,b=-w,u=w vs \
+psi_t_sigma:t=3,sigma=234,a=-1,b=-w,u=-w-1
+  method: determinant_polynomial
+  reduced: False
+  witness:
+    0, -1, 0, 0; 1, 0, 0, 0; 0, 0, 0, 1; 0, 0, -1, 0
+    0, 1, 0, 0; -1, 0, 0, 0; 0, 0, 0, -1; 0, 0, 1, 0
+summary: 1 checks, 0 failed, 0 inconclusive
+"""),
+    "moduli_sample": (["moduli", "sample", "--lambda=0,-1", "--seed", "1"],
+                      """\
+command: moduli sample
+pass  sample  [0:-1:1]
+  certified: True
+  gamma:
+    3
+    2
+    -1
+    0
+    0
+    0
+    0
+    -w - 1
+    0
+    0
+    1
+    w
+    1
+    -w
+    -w - 1
+  seed: 1
+summary: 1 checks, 0 failed, 0 inconclusive
+"""),
+    "moduli_sample_budget_0": (["moduli", "sample", "--lambda=0,-1",
+                                "--budget", "0"], """\
+command: moduli sample
+inconclusive  sample  [0:-1:1]
+  detail: no certified point within budget 0
+  seed: 1
+summary: 1 checks, 0 failed, 1 inconclusive
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TEXT_REPORTS))
+def test_the_default_text_report_is_exact(capsys, name):
+    argv, expected = _TEXT_REPORTS[name]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and not err
+    assert out == expected
+
+
 def test_verify_needs_a_target(capsys):
     code, _, err = run(capsys, ["verify"])
     assert code == 2
@@ -243,6 +305,12 @@ def test_a_negative_budget_is_a_usage_error(capsys):
     assert code == 2
     assert not out
     assert "--budget" in err and ">= 0" in err
+    # a budget that is no integer at all is refused the same way
+    code, out, err = run(capsys, ["moduli", "sample", "--lambda", "0,-1",
+                                  "--budget", "x"])
+    assert code == 2
+    assert not out
+    assert "expected an integer >= 0" in err
 
 
 def test_a_negative_value_may_follow_its_option(capsys):
@@ -300,6 +368,23 @@ def test_moduli_act_defaults_to_the_zero_gamma_pencil(capsys):
     assert "x1" in moved
 
 
+def test_moduli_act_reads_its_pencil_from_a_file(capsys, tmp_path):
+    from fermatmf.families import CurvePoint, GammaBlock, build_six_gen
+    from fermatmf.field import omega_field
+    from fermatmf.matrix import format_matrix
+
+    F = omega_field()
+    pencil = build_six_gen(CurvePoint.affine(F, 0, -1), GammaBlock.zero(F))
+    target = tmp_path / "pencil.txt"
+    target.write_text(format_matrix(pencil), encoding="utf-8")
+    argv = ["moduli", "act", "--lambda", "0,-1", "--kind", "Uk", "--k", "2"]
+    code, from_file = run_json(capsys, argv + ["--matrix", str(target)])
+    assert code == 0
+    # the file holds the zero-Gamma pencil, which is also the default
+    _, default = run_json(capsys, argv)
+    assert from_file["checks"] == default["checks"]
+
+
 def test_moduli_act_checks_the_h_law(capsys):
     code, _, err = run(capsys, ["moduli", "act", "--field", "sextic",
                                 "--lambda", "1,g", "--kind", "H",
@@ -331,6 +416,10 @@ def test_pfaffian_rejects_non_skew_input(capsys, monkeypatch):
 
 
 _ALPHA3 = "alpha3:b=-1,c=-1,d=-1,eps=w"
+# at gamma = 0, Pf(Lambda) = f3: a pencil, but no factorization of f
+_BARE_PENCIL = "six_gen:lam=0:-1:1,gamma=" + ":".join(["0"] * 15)
+# {tmp} stands for a directory holding not_utf8.txt, a single 0xff byte
+_NOT_UTF8 = "{tmp}/not_utf8.txt"
 
 
 @pytest.mark.parametrize("argv, stdin, message", [
@@ -348,15 +437,34 @@ _ALPHA3 = "alpha3:b=-1,c=-1,d=-1,eps=w"
      "kind Uk needs the scale k"),
     (["det"], "x1, x2; x3", "ragged rows"),
     (["pfaffian"], "x1, 0; 0, x1", "matrix is not skew-symmetric"),
+    (["equiv", "--left", _BARE_PENCIL, "--right", _BARE_PENCIL], None,
+     "six_gen: Pf(Lambda) != f"),
+    (["moduli", "solve"], None, "--lambda A,B is required"),
+    (["moduli", "solve", "--lambda", "0,-1", "--free", "1,2"], None,
+     "--free needs 3 comma-separated values"),
+    (["moduli", "act", "--lambda", "0,-1", "--kind", "H", "--coeffs", "1,1"],
+     None, "--coeffs needs 4 comma-separated values"),
+    (["moduli", "act", "--lambda", "0,-1", "--kind", "Uk", "--k", "q"], None,
+     "--k: unknown name 'q' (at position 0)"),
+    (["det", "--matrix", "{tmp}/missing.txt"], None,
+     "[Errno 2] No such file or directory: '{tmp}/missing.txt'"),
+    (["det", "--matrix", _NOT_UTF8], None,
+     "unexpected '\\udcff' (at position 0)"),
+    (["moduli", "act", "--lambda", "0,-1", "--kind", "Uk", "--k", "2",
+      "--matrix", _NOT_UTF8], None, "unexpected '\\udcff' (at position 0)"),
 ], ids=["verify", "enumerate", "equiv", "moduli_solve", "moduli_sample",
-        "moduli_act", "det", "pfaffian"])
-def test_malformed_input_is_one_error_line(capsys, monkeypatch, argv, stdin,
-                                           message):
+        "moduli_act", "det", "pfaffian", "equiv_bare_pencil",
+        "missing_lambda", "free_count", "coeffs_count", "k_malformed",
+        "missing_file", "det_not_utf8", "moduli_act_not_utf8"])
+def test_malformed_input_is_one_error_line(capsys, monkeypatch, tmp_path,
+                                           argv, stdin, message):
+    (tmp_path / "not_utf8.txt").write_bytes(b"\xff")
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
-    code, out, err = run(capsys, argv)
+    code, out, err = run(capsys, [a.replace("{tmp}", str(tmp_path))
+                                  for a in argv])
     assert code == 2
     assert not out
-    assert err == "error: %s\n" % message
+    assert err == "error: %s\n" % message.replace("{tmp}", str(tmp_path))
 
 
 def _bidiagonal(n):

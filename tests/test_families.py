@@ -29,11 +29,13 @@ from fermatmf.equiv import enumerate_classes
 from fermatmf.field import omega_field, sextic_field, special_roots
 from fermatmf.matrix import (
     MatrixError,
+    MatrixFactorization,
     PolyMatrix,
     block,
     determinant,
     format_one_line,
     pfaffian,
+    pfaffian_adjoint,
     verify_matrix_factorization,
 )
 from fermatmf.moduli6 import chart_transport
@@ -408,6 +410,23 @@ def test_six_gen_restriction_and_skewness():
         build_six_gen(CurvePoint.at_infinity(F, -1), gamma)
 
 
+# the Gamma block that `moduli sample --lambda=0,-1 --seed 1` certifies
+_CERTIFIED_PENCIL = ("six_gen:lam=0:-1:1,"
+                     "gamma=3:2:-1:0:0:0:0:-w-1:0:0:1:w:1:-w:-w-1")
+
+
+def test_a_six_gen_id_pairs_its_pencil_with_the_pfaffian_adjoint():
+    fid = FamilyId.parse(F, _CERTIFIED_PENCIL)
+    mf = literal(fid.build())
+    assert mf.phi == build_six_gen(fid.params["lam"], fid.params["gamma"])
+    assert mf.psi == pfaffian_adjoint(mf.phi)
+    # at gamma = 0 the Pfaffian is f3: the pencil is no factorization of f
+    bare = FamilyId.parse(F, "six_gen:lam=0:-1:1,gamma=" + ":".join(["0"] * 15))
+    with pytest.raises(FamilyError) as err:
+        bare.build()
+    assert str(err.value) == "six_gen: Pf(Lambda) != f"
+
+
 def test_gamma_block_layout():
     gamma = GammaBlock(F, tuple(range(1, 16)))
     G = gamma.matrix()
@@ -606,6 +625,16 @@ _ONE_ID_PER_NAME = (
     "omega:sigma=234,a=-1,b=-1,u=w,normalized=0",
     "nu:sigma=234,a=-1,b=-1,u=w,normalized=0",
 )
+
+
+def test_every_family_name_builds_a_certified_pair():
+    ids = [FamilyId.parse(F, text)
+           for text in _ONE_ID_PER_NAME + (_CERTIFIED_PENCIL,)]
+    assert {fid.name for fid in ids} == set(_ID_KEYS)
+    for fid in ids:
+        mf = fid.build()
+        assert isinstance(mf, MatrixFactorization)
+        literal(mf)
 
 
 def test_a_warm_build_makes_no_matrix_product(monkeypatch):

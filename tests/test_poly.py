@@ -140,6 +140,22 @@ def test_chained_powers_are_refused():
     assert err.value.position == 4
     assert "chained powers" in str(err.value)
     assert parse(F, "(x1^2)^3") == x(1) ** 6
+    # a sign inside a product does not make a chain legal
+    with pytest.raises(ParseError) as err:
+        parse(F, "x1*-x2^2^3")
+    assert "chained powers" in str(err.value)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("x2*-x1^2", -x(1) ** 2 * x(2)),
+    ("x1 - -x2^2", x(1) + x(2) ** 2),
+    ("2*-x1^3", -2 * x(1) ** 3),
+    ("--x1^2", x(1) ** 2),
+    ("x2*(-x1)^2", x(1) ** 2 * x(2)),
+], ids=["product", "difference", "scaled", "double_sign", "parenthesized"])
+def test_a_sign_inside_a_product_negates_the_power(text, expected):
+    # -x1^2 is -(x1^2) wherever the sign stands, as at the head of a sum
+    assert parse(F, text) == expected
 
 
 def test_an_overlong_number_is_a_parse_error():
