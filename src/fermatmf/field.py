@@ -9,8 +9,9 @@ Number Theory*, GTM 138, ch. 4).  The pair is kept in lowest terms, so
 equal elements have identical pairs and zero is (0, ..., 0) over 1; the
 gcd is only taken when the denominator is not 1.  Each tower computes
 once its structure constants (the reduced product of any two basis
-monomials), which are integers because the moduli are: multiplication is
-one pass over that table on the numerators, and the denominators
+monomials), which are integers because the moduli are, and compiles them
+once into a straight-line product of two numerator vectors: output c is
+the written-out sum of t * x_a * y_b over the table, and the denominators
 multiply.  Inversion solves one linear system over Q per numerator
 vector.  ``FieldElement.value`` is the nested view: a tuple over the last
 generator's powers of values one level down, a Fraction at the base.
@@ -94,15 +95,50 @@ def _structure_constants(degrees, moduli):
     return tuple(table)
 
 
+def _compile_product(degree, table):
+    """The product of two numerator vectors as one straight-line function,
+    generated from the structure constants and compiled once per tower.
+
+    Terms that share (a, b, c) are merged, so output c is the written-out
+    sum of t * x_a * y_b; the source holds only integer literals and the
+    index names x0.., y0.., never a generator name.
+    """
+    sums = [{} for _ in range(degree)]
+    for a, b, c, t in table:
+        sums[c][a, b] = sums[c].get((a, b), 0) + t
+    outputs = []
+    for terms in sums:
+        out = ""
+        for (a, b), t in terms.items():
+            if t:
+                monomial = "x%d*y%d" % (a, b) if abs(t) == 1 \
+                    else "%d*x%d*y%d" % (abs(t), a, b)
+                out += (" - " if t < 0 else " + ") + monomial
+        if not out:
+            outputs.append("0")
+        else:
+            outputs.append(out[3:] if out.startswith(" + ") else "-" + out[3:])
+    xs = ", ".join("x%d" % a for a in range(degree))
+    ys = ", ".join("y%d" % a for a in range(degree))
+    source = ("def _mul(x, y):\n"
+              "    %s, = x\n"
+              "    %s, = y\n"
+              "    return (%s,)\n" % (xs, ys, ", ".join(outputs)))
+    namespace = {}
+    exec(source, namespace)
+    return namespace["_mul"]
+
+
 class NumberField:
     """A tower of simple extensions of Q, interned by its description.
 
     ``levels`` is a tuple of (generator name, modulus) pairs where each
     modulus is an ascending tuple of integer coefficients, monic of
     degree >= 2.  Elements are integer numerator vectors over one common
-    denominator, with a nested ``value`` view (module docstring); the
-    integer structure constants are computed once, when the tower is
-    interned.
+    denominator, with a nested ``value`` view (module docstring).  When
+    the tower is interned, its integer structure constants are computed
+    and compiled into ``_mul``, one straight-line function of two
+    numerator tuples that every product and inverse goes through.
     """
 
     def __new__(cls, levels=()):
@@ -118,6 +154,7 @@ class NumberField:
         self._zeros = (0,) * self.degree
         self._table = _structure_constants(
             self._degrees, [modulus for _, modulus in levels])
+        self._mul = _compile_product(self.degree, self._table)
         self._inv_cache = {}
         self._ints = {n: _make(self, (n,) + self._zeros[1:], 1)
                       for n in _SHARED_INTS}
@@ -131,12 +168,6 @@ class NumberField:
         return "NumberField(Q(%s))" % ", ".join(self.names)
 
     # -- integer numerator vectors --------------------------------------------
-
-    def _mul(self, x, y):
-        out = [0] * self.degree
-        for a, b, c, t in self._table:
-            out[c] += x[a] * y[b] * t
-        return tuple(out)
 
     def _inverse(self, v):
         # solve M x = e_0 over Q, where column b of M is v * e_b, by

@@ -60,7 +60,7 @@ class Polynomial:
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != nvars or any(e < 0 or not isinstance(e, int) for e in exps):
+                if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
                     raise ValueError("bad monomial %r" % (exps,))
                 coeff = field(coeff)
                 if coeff:

@@ -165,6 +165,68 @@ def test_ring_axioms_randomized(F):
         assert x * (y + z) == x * y + x * z
 
 
+def _table_product(degree, table, x, y):
+    # the reference: one pass over the structure constants
+    out = [0] * degree
+    for a, b, c, t in table:
+        out[c] += x[a] * y[b] * t
+    return tuple(out)
+
+
+_ODD_TOWER = [("w", (1, 1, 1)), ("r'", (-3, 0, 1))]
+
+
+@pytest.mark.parametrize("make", [rationals, omega_field, sextic_field,
+                                  lambda: make_tower(_ODD_TOWER)],
+                         ids=["rationals", "omega", "sextic", "odd_name"])
+def test_compiled_product_matches_the_table(make):
+    F = make()
+    d = F.degree
+    rng = random.Random(1900 + d)
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    vectors = [(0,) * d] + units
+    for bits in (4, 70, 200):
+        vectors += [tuple(rng.randint(-2 ** bits, 2 ** bits) for _ in range(d))
+                    for _ in range(6)]
+    for x in vectors:
+        for y in vectors:
+            product = F._mul(x, y)
+            assert type(product) is tuple
+            assert product == _table_product(d, F._table, x, y)
+    # the compiled source names only its operands and their entries
+    code = F._mul.__code__
+    assert code.co_names == ()
+    assert set(code.co_varnames) == (
+        {"x", "y"} | {"%s%d" % (v, i) for v in "xy" for i in range(d)})
+
+
+def test_compiled_product_merges_repeated_constants():
+    # a tower's table never repeats (a, b, c), so a hand-made one checks
+    # the merge: 2 + 3 and 1 - 1 on one pair, and an output with no term
+    table = ((0, 0, 0, 2), (0, 0, 0, 3), (1, 1, 0, 1), (1, 1, 0, -1),
+             (0, 1, 1, -1), (1, 0, 1, -4))
+    product = field._compile_product(3, table)
+    code = product.__code__
+    assert code.co_consts.count(5) == 1 and 2 not in code.co_consts
+    for x, y in (((3, -7, 1), (2 ** 70, 5, -1)), ((0, 0, 0), (1, 2, 3))):
+        assert product(x, y) == _table_product(3, table, x, y)
+
+
+def test_inverse_through_the_compiled_product():
+    F = make_tower(_ODD_TOWER)
+    w, r = F.gen("w"), F.gen("r'")
+    assert r * r == 3 and w * w + w + 1 == 0
+    rng = random.Random(19)
+    checked = 0
+    while checked < 100:
+        x = F._element(tuple(rng.randint(-9, 9) for _ in range(F.degree)),
+                       rng.randint(1, 5))
+        if not x:
+            continue
+        assert x * x.inv() == 1
+        checked += 1
+
+
 def test_canonical_form_is_identical_representation():
     F = omega_field()
     w = F.gen("w")

@@ -60,6 +60,9 @@ def test_rings_with_other_numbers_of_variables_are_kept_apart():
     assert (t ** 0) == Polynomial.one(F, 5)
     with pytest.raises(ValueError):
         Polynomial(F, {(1, 0, 0, 0): 1}, 5)
+    for bad in ((1, 0, 0, "a"), (None, 0, 0, 0), (1, -1, 0, 0)):
+        with pytest.raises(ValueError, match="bad monomial"):
+            Polynomial(F, {bad: 1})
 
 
 def test_restrict_pins_the_parameters_of_a_determinant():
