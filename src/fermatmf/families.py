@@ -3,11 +3,11 @@
 Every named family lives here: the 3x3 curve and surface forms, the orientable
 and non-orientable 4x4 pairs, the five 5x5 pairs with their un-normalized
 variants, the ideals they present, and the 6x6 skew pencil x4*Gamma + alpha
-block together with its transport matrices.  Constructors validate their
-parameters eagerly, and every family id builds a certified pair
-(``FamilyId.build``).  A print discrepancy that breaks phi*psi = f*Id is
-treated as a defect of the source display, fixed here, and documented in
-ERRATA.md.
+block together with its transport matrices.  A listing is named and built
+through ``FamilyId`` alone: one table, ``_FAMILIES``, maps each family name
+to its parameter keys and the builder of its certified pair.  A print
+discrepancy that breaks phi*psi = f*Id is treated as a defect of the source
+display, fixed here, and documented in ERRATA.md.
 
 Each display shape is written once, and no build multiplies matrices.
 The sigma families rest on one splitting f = w1*v1 + w2*v2 with
@@ -19,8 +19,8 @@ eta3 and theta3 share one 3x3 display; a 3x3 pair is phi and its
 adjugate, certified by det(phi) = f, and phi_lambda and the six_gen
 pencil Lambda are paired with their Pfaffian adjoints, certified by
 Pf(phi) = f and Pf(Lambda) = f; ``build_six_gen`` is the raw pencil.
-A partner name (a ``psi_*`` name, omega, nu or nubar) is its pair swapped
-by ``MatrixFactorization.swapped``.
+A partner name (a ``psi_*`` name, omega, nu or nubar) is, in
+``FamilyId.build`` alone, its base name's pair swapped (``_PARTNERS``).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class SigmaPerm(_Frozen):
     @classmethod
     def from_string(cls, text):
         """Parse "234"-style digit triples."""
-        if len(text) != 3 or not text.isdigit():
+        if len(text) != 3 or not all("0" <= c <= "9" for c in text):
             raise FamilyError("sigma string must be three digits, got %r" % (text,))
         return cls(int(text[0]), int(text[1]), int(text[2]))
 
@@ -501,6 +501,13 @@ def _slot_instance(name, sigma, fs, beta=None):
     return MatrixFactorization(phi, psi, fermat_cubic(fs.field))
 
 
+def _sigma_pair(fid, row, beta=None):
+    """Slot row ``row`` filled from the form set of the id's (sigma, a, b, u)."""
+    p = fid.params
+    r = RootData(fid.field, a=p["a"], b=p["b"], u=p["u"])
+    return _slot_instance(row, p["sigma"], building_blocks(p["sigma"], r), beta)
+
+
 def _by_invariant(phi, psi, value, f, name, what):
     """(phi, psi) certified by value = f: psi is the adjugate (Pfaffian
     adjoint) of phi, so phi*psi = value*Id with value det(phi) (Pf(phi))."""
@@ -511,18 +518,22 @@ def _by_invariant(phi, psi, value, f, name, what):
 
 # -- three-generated families ----------------------------------------------------
 
-def build_rank1_3gen(kind, r):
+def _rank1_3gen(fid):
     """One of the four 3x3 families alpha3, beta3, eta3, theta3, paired with
     its adjugate and certified by det(phi) = f.
 
-    alpha3/beta3 take (a,b,c,d,eps) with b*c*d = eps*a; eta3 takes (a,b,c)
-    pairwise-distinct cube roots of -1 plus eps; theta3 takes just (a,b,c).
+    alpha3/beta3 take (b,c,d,eps) and derive a from b*c*d = eps*a; eta3
+    takes (a,b,c) pairwise-distinct cube roots of -1 plus eps; theta3 takes
+    just (a,b,c).
     """
-    field = r.field
+    field, name, p = fid.field, fid.name, fid.params
     x1, x2, x3, x4 = _variables(field)
-    if kind in ("alpha3", "beta3"):
-        r.require("a", "b", "c", "d", "eps")
-        a, b, c, d, eps = r.a, r.b, r.c, r.d, r.eps
+    if name in ("alpha3", "beta3"):
+        # eps first: a = b*c*d/eps needs eps != 0
+        eps = RootData(field, eps=p["eps"]).eps
+        r = RootData(field, a=p["b"] * p["c"] * p["d"] / eps, b=p["b"],
+                     c=p["c"], d=p["d"], eps=eps)
+        a, b, c, d = r.a, r.b, r.c, r.d
         phi = PolyMatrix(field, [
             [0,
              x1 - a * x4,
@@ -534,17 +545,16 @@ def build_rank1_3gen(kind, r):
              (c * c) * x2 + (b * c * c) * x3 + (a * c) * x4,
              -x1 - c * x2 - a * x4],
         ])
-        if kind == "beta3":
+        if name == "beta3":
             phi = phi.transpose()
-    elif kind in ("eta3", "theta3"):
-        r.require("a", "b", "c")
+    else:
+        r = RootData(field, a=p["a"], b=p["b"], c=p["c"], eps=p.get("eps"))
         a, b, c = r.a, r.b, r.c
         if a == b or a == c or b == c:
             raise FamilyError("(a, b, c) must be pairwise distinct")
         # one display on l_k = x1 + e_k*y and m_k = z - r_k*x4, with slots
         # (y | z) = (x2 | x3) for eta3 and (x3 | x2) for theta3
-        if kind == "eta3":
-            r.require("eps")
+        if name == "eta3":
             y, z, e2, e3 = x2, x3, r.eps, r.eps * r.eps
         else:
             y, z, e2, e3 = x3, x2, -(a * a * b), -(a * b * b)
@@ -555,10 +565,8 @@ def build_rank1_3gen(kind, r):
             [l2, -m2, 0],
             [m3, 0, -l3],
         ])
-    else:
-        raise FamilyError("unknown 3x3 kind %r" % (kind,))
     return _by_invariant(phi, adjugate(phi), determinant(phi),
-                         fermat_cubic(field), kind, "det(phi) != f")
+                         fermat_cubic(field), name, "det(phi) != f")
 
 
 def _curve_alpha_matrix(lam):
@@ -588,7 +596,14 @@ def build_curve_alpha(lam):
                          "det(phi) != f3")
 
 
-# -- orientable four-generated families ------------------------------------------
+def _curve_point(fid):
+    lam = fid.params["lam"]
+    if not isinstance(lam, CurvePoint):
+        raise FamilyError("%s needs a 3-coordinate point" % fid.name)
+    return lam
+
+
+# -- four-generated families -----------------------------------------------------
 
 def _sigma_4x4(field, w1, w2, v1, v2, v2p, v2pp, x):
     """The 4x4 sigma display (phi, psi) on a splitting f = w1*v1 + w2*v2 with
@@ -608,60 +623,38 @@ def _sigma_4x4(field, w1, w2, v1, v2, v2p, v2pp, x):
     return phi, psi
 
 
-def build_orientable_4gen(kind, lam=None, sigma=None, r=None, beta=None):
-    """The skew 4x4 pairs: phi_lambda/psi_lambda from a surface point, or
-    phi_sigma/psi_sigma from sigma-data.
-
-    The lambda pair is phi_lambda and its Pfaffian adjoint, certified by
-    Pf(phi) = f.  The sigma pair is the slot row phi_sigma: the 4x4 sigma
-    display with v2 unsplit (v2' = 1, v2'' = v2) and beta in its free
-    slot, certified by the row's proof.  beta defaults to x_j*x_s, the
-    normal form of the catalog; a custom polynomial or constant may be
-    substituted for experimentation.  The psi names are the certified phi
-    pair, swapped.
-    """
-    if kind in ("phi_lambda", "psi_lambda"):
-        if lam is None:
-            raise FamilyError("%s needs a surface point" % kind)
-        fs = point_forms(lam)
-        field = lam.field
-        p1, p2, p3 = fs.p1, fs.p2, fs.p3
-        q1, q2, q3 = fs.q1, fs.q2, fs.q3
-        phi = PolyMatrix(field, [
-            [0, p3, -p2, -q1],
-            [-p3, 0, -p1, q2],
-            [p2, p1, 0, q3],
-            [q1, -q2, -q3, 0],
-        ])
-        mf = _by_invariant(phi, pfaffian_adjoint(phi), pfaffian(phi),
-                           fermat_cubic(field), kind, "Pf(phi) != f")
-    elif kind in ("phi_sigma", "psi_sigma"):
-        if sigma is None or r is None:
-            raise FamilyError("%s needs sigma and roots" % kind)
-        if beta is None:
-            x = _variables(r.field)
-            beta = x[sigma.j - 1] * x[sigma.s - 1]
-        mf = _slot_instance("phi_sigma", sigma, building_blocks(sigma, r), beta)
-    else:
-        raise FamilyError("unknown orientable 4x4 kind %r" % (kind,))
-    return mf.swapped() if kind.startswith("psi") else mf
+def _phi_lambda(fid):
+    """phi_lambda of a surface point and its Pfaffian adjoint, certified by
+    Pf(phi) = f."""
+    lam = fid.params["lam"]
+    if not isinstance(lam, SurfacePoint):
+        raise FamilyError("%s needs a 4-coordinate point" % fid.name)
+    fs = point_forms(lam)
+    p1, p2, p3 = fs.p1, fs.p2, fs.p3
+    q1, q2, q3 = fs.q1, fs.q2, fs.q3
+    phi = PolyMatrix(lam.field, [
+        [0, p3, -p2, -q1],
+        [-p3, 0, -p1, q2],
+        [p2, p1, 0, q3],
+        [q1, -q2, -q3, 0],
+    ])
+    return _by_invariant(phi, pfaffian_adjoint(phi), pfaffian(phi),
+                         fermat_cubic(lam.field), fid.name, "Pf(phi) != f")
 
 
-# -- non-orientable four-generated families --------------------------------------
+def _phi_sigma(fid):
+    """The slot row phi_sigma (v2 unsplit: v2' = 1, v2'' = v2) with x_j*x_s,
+    the normal form of the catalog, in its free slot beta."""
+    sigma = fid.params["sigma"]
+    x = _variables(fid.field)
+    return _sigma_pair(fid, "phi_sigma", x[sigma.j - 1] * x[sigma.s - 1])
 
-def build_nonorientable_4gen(t, kind, sigma, r):
-    """The pair (phi_t_sigma, psi_t_sigma) for t = 1..4; kind selects which of
-    the two is returned as the primary matrix.
-
-    All four are the one 4x4 sigma display, filled from the slot row
-    phi_t_sigma and certified by the row's proof.
-    """
+def _phi_t_sigma(fid):
+    """phi_t_sigma, t = 1..4: the 4x4 sigma display filled by its slot row."""
+    t = fid.params["t"]
     if t not in (1, 2, 3, 4):
         raise FamilyError("t must be 1..4, got %r" % (t,))
-    if kind not in ("phi", "psi"):
-        raise FamilyError("kind must be 'phi' or 'psi', got %r" % (kind,))
-    mf = _slot_instance("phi_%d_sigma" % t, sigma, building_blocks(sigma, r))
-    return mf.swapped() if kind == "psi" else mf
+    return _sigma_pair(fid, "phi_%d_sigma" % t)
 
 
 # -- five-generated families -----------------------------------------------------
@@ -725,22 +718,17 @@ _SLOT_ROWS = {
 }
 
 
-def build_5gen(kind, sigma, r, normalized=True):
-    """The 5x5 pairs: rho/omega, mu/nu, mubar/nubar.
-
-    ``normalized`` selects the final displays; with ``normalized=False`` the
-    un-normalized pairs rho1/omega1 and mu1/nu1 are produced instead (there
-    is no un-normalized mubar display, so that combination is rejected).
-    Each pair is the slot row rho, mu, mubar, rho1 or mu1, certified by the
-    row's proof.  Both omega variants carry +w1*v2'' in their [3,2] entry;
-    the sign is forced by the product identity (see ERRATA.md).
-    """
-    if kind not in ("rho", "mu", "mubar"):
-        raise FamilyError("kind must be rho, mu or mubar, got %r" % (kind,))
-    name = kind if normalized else kind + "1"
-    if name not in _SLOT_ROWS:
-        raise FamilyError("mubar has no un-normalized display")
-    return _slot_instance(name, sigma, building_blocks(sigma, r))
+def _five_gen(fid):
+    """The slot row of the base name (rho, mu or mubar), or with
+    ``normalized=0`` its un-normalized row rho1 or mu1, so that omega with
+    ``normalized=0`` selects rho1.  Both omega variants carry +w1*v2'' in
+    their [3,2] entry, a sign the row proof forces (see ERRATA.md)."""
+    row = _PARTNERS.get(fid.name, fid.name)
+    if not fid.params.get("normalized", True):
+        row += "1"
+        if row not in _SLOT_ROWS:
+            raise FamilyError("mubar has no un-normalized display")
+    return _sigma_pair(fid, row)
 
 
 # -- ideals ----------------------------------------------------------------------
@@ -805,6 +793,14 @@ def build_six_gen(lam, gamma):
     alpha_block = block([[zero3, -alpha.transpose()], [alpha, zero3]])
     x4 = Polynomial.variable(field, 4)
     return gamma.matrix() * x4 + alpha_block
+
+
+def _six_gen(fid):
+    """The pencil Lambda and its Pfaffian adjoint, certified by
+    Pf(Lambda) = f."""
+    pencil = build_six_gen(_curve_point(fid), fid.params["gamma"])
+    return _by_invariant(pencil, pfaffian_adjoint(pencil), pfaffian(pencil),
+                         fermat_cubic(fid.field), fid.name, "Pf(Lambda) != f")
 
 
 def transport_matrices(lam):
@@ -920,33 +916,31 @@ def five_points_example(field=None):
 
 # -- canonical addressing --------------------------------------------------------
 
-# partner names of the 5x5 kinds: (underlying kind, swap matrices?)
-_FIVE_GEN_NAMES = {
-    "rho": ("rho", False), "omega": ("rho", True),
-    "mu": ("mu", False), "nu": ("mu", True),
-    "mubar": ("mubar", False), "nubar": ("mubar", True),
+_SIGMA_KEYS = ("sigma", "a", "b", "u")
+_FIVE_GEN = (_SIGMA_KEYS + ("normalized",), _five_gen)
+
+# name -> (parameter keys in canonical order, builder of the certified pair);
+# builders call build_curve_alpha/build_six_gen by name, which tracers rebind
+_FAMILIES = {
+    "alpha3": (("b", "c", "d", "eps"), _rank1_3gen),
+    "beta3": (("b", "c", "d", "eps"), _rank1_3gen),
+    "eta3": (("a", "b", "c", "eps"), _rank1_3gen),
+    "theta3": (("a", "b", "c"), _rank1_3gen),
+    "curve_alpha": (("lam",),
+                    lambda fid: build_curve_alpha(_curve_point(fid))),
+    "phi_lambda": (("lam",), _phi_lambda),
+    "phi_sigma": (_SIGMA_KEYS, _phi_sigma),
+    "phi_t_sigma": (("t",) + _SIGMA_KEYS, _phi_t_sigma),
+    "rho": _FIVE_GEN,
+    "mu": _FIVE_GEN,
+    "mubar": _FIVE_GEN,
+    "six_gen": (("lam", "gamma"), _six_gen),
 }
 
-_ID_KEYS = {
-    "alpha3": ("b", "c", "d", "eps"),
-    "beta3": ("b", "c", "d", "eps"),
-    "eta3": ("a", "b", "c", "eps"),
-    "theta3": ("a", "b", "c"),
-    "curve_alpha": ("lam",),
-    "phi_lambda": ("lam",),
-    "psi_lambda": ("lam",),
-    "phi_sigma": ("sigma", "a", "b", "u"),
-    "psi_sigma": ("sigma", "a", "b", "u"),
-    "phi_t_sigma": ("t", "sigma", "a", "b", "u"),
-    "psi_t_sigma": ("t", "sigma", "a", "b", "u"),
-    "rho": ("sigma", "a", "b", "u", "normalized"),
-    "omega": ("sigma", "a", "b", "u", "normalized"),
-    "mu": ("sigma", "a", "b", "u", "normalized"),
-    "nu": ("sigma", "a", "b", "u", "normalized"),
-    "mubar": ("sigma", "a", "b", "u", "normalized"),
-    "nubar": ("sigma", "a", "b", "u", "normalized"),
-    "six_gen": ("lam", "gamma"),
-}
+# partner name -> the name whose certified pair it is, swapped
+_PARTNERS = {"psi_lambda": "phi_lambda", "psi_sigma": "phi_sigma",
+             "psi_t_sigma": "phi_t_sigma", "omega": "rho", "nu": "mu",
+             "nubar": "mubar"}
 
 _OPTIONAL_KEYS = {"normalized"}
 
@@ -968,13 +962,15 @@ class FamilyId(_Frozen):
     __slots__ = ("field", "name", "params")
 
     def __init__(self, field, name, params):
-        if name not in _ID_KEYS:
+        base = _PARTNERS.get(name, name)
+        if base not in _FAMILIES:
             raise FamilyError("unknown family name %r" % (name,))
-        required = [k for k in _ID_KEYS[name] if k not in _OPTIONAL_KEYS]
+        keys = _FAMILIES[base][0]
+        required = [k for k in keys if k not in _OPTIONAL_KEYS]
         missing = [k for k in required if k not in params]
         if missing:
             raise FamilyError("missing parameters for %s: %s" % (name, missing))
-        extra = [k for k in params if k not in _ID_KEYS[name]]
+        extra = [k for k in params if k not in keys]
         if extra:
             raise FamilyError("unknown parameters for %s: %s" % (name, sorted(extra)))
         object.__setattr__(self, "field", field)
@@ -1038,7 +1034,7 @@ class FamilyId(_Frozen):
 
     def __str__(self):
         pieces = []
-        for key in _ID_KEYS[self.name]:
+        for key in _FAMILIES[_PARTNERS.get(self.name, self.name)][0]:
             if key not in self.params:
                 continue
             if key == "normalized" and self.params[key]:
@@ -1057,45 +1053,9 @@ class FamilyId(_Frozen):
         return hash((id(self.field), str(self)))
 
     def build(self):
-        """The certified MatrixFactorization the id addresses, for every
-        name; the six_gen pencil Lambda is paired with its Pfaffian adjoint
-        and certified by Pf(Lambda) = f, as phi_lambda is."""
-        field = self.field
-        name = self.name
-        p = self.params
-        if name in ("alpha3", "beta3"):
-            # eps first: a = b*c*d/eps needs eps != 0
-            eps = RootData(field, eps=p["eps"]).eps
-            r = RootData(field, a=p["b"] * p["c"] * p["d"] / eps, b=p["b"],
-                         c=p["c"], d=p["d"], eps=eps)
-            return build_rank1_3gen(name, r)
-        if name in ("eta3", "theta3"):
-            r = RootData(field, a=p["a"], b=p["b"], c=p["c"], eps=p.get("eps"))
-            return build_rank1_3gen(name, r)
-        if name == "curve_alpha":
-            return build_curve_alpha(self._curve_point())
-        if name in ("phi_lambda", "psi_lambda"):
-            lam = p["lam"]
-            if not isinstance(lam, SurfacePoint):
-                raise FamilyError("%s needs a 4-coordinate point" % name)
-            return build_orientable_4gen(name, lam=lam)
-        if name == "six_gen":
-            pencil = build_six_gen(self._curve_point(), p["gamma"])
-            return _by_invariant(pencil, pfaffian_adjoint(pencil),
-                                 pfaffian(pencil), fermat_cubic(field), name,
-                                 "Pf(Lambda) != f")
-        # the sigma families
-        r = RootData(field, a=p["a"], b=p["b"], u=p["u"])
-        if name in ("phi_sigma", "psi_sigma"):
-            return build_orientable_4gen(name, sigma=p["sigma"], r=r)
-        if name in ("phi_t_sigma", "psi_t_sigma"):
-            return build_nonorientable_4gen(p["t"], name[:3], p["sigma"], r)
-        kind, swap = _FIVE_GEN_NAMES[name]
-        mf = build_5gen(kind, p["sigma"], r, normalized=p.get("normalized", True))
-        return mf.swapped() if swap else mf
-
-    def _curve_point(self):
-        lam = self.params["lam"]
-        if not isinstance(lam, CurvePoint):
-            raise FamilyError("%s needs a 3-coordinate point" % self.name)
-        return lam
+        """The certified MatrixFactorization the id addresses: one lookup in
+        ``_FAMILIES``, and a partner name (``_PARTNERS``) is its base
+        name's pair, swapped."""
+        base = _PARTNERS.get(self.name, self.name)
+        mf = _FAMILIES[base][1](self)
+        return mf if base == self.name else mf.swapped()

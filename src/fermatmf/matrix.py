@@ -173,7 +173,8 @@ class PolyMatrix:
             for j in range(self.ncols)], self.nvars)
 
     def map_entries(self, fn):
-        return PolyMatrix(self.field, [[fn(a) for a in row] for row in self.entries])
+        return PolyMatrix(self.field, [[fn(a) for a in row]
+                                       for row in self.entries], self.nvars)
 
     def submatrix(self, rows, cols):
         return PolyMatrix(self.field, [

@@ -359,6 +359,11 @@ def fermat_cubic3(field):
 MAX_POWER_DEGREE = 12
 
 
+def _is_digit(ch):
+    """An ASCII digit; str.isdigit also admits '²', '٣' and '１'."""
+    return "0" <= ch <= "9"
+
+
 class _Tokens:
     def __init__(self, text):
         self.text = text
@@ -380,7 +385,7 @@ class _Tokens:
     def take_int(self):
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
@@ -396,7 +401,7 @@ class _Tokens:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         return self.text[start:self.pos], start
 
@@ -492,7 +497,7 @@ def _parse_atom(field, toks):
         # a sign inside a product negates a power: x2*-x1^2 = -(x1^2)*x2
         toks.pos += 1
         return -_parse_power(field, toks)
-    if ch.isdigit():
+    if _is_digit(ch):
         num = toks.take_int()
         if toks.peek() == "/":
             toks.pos += 1

@@ -29,12 +29,9 @@ from fermatmf.families import (
     CurvePoint,
     FamilyId,
     GammaBlock,
-    RootData,
     SigmaPerm,
     SurfacePoint,
     build_curve_alpha,
-    build_orientable_4gen,
-    build_rank1_3gen,
     build_six_gen,
     five_points_example,
     transport_matrices,
@@ -74,6 +71,11 @@ ERRATA = Path(__file__).resolve().parent.parent / "ERRATA.md"
 
 def x(i):
     return Polynomial.variable(F, i)
+
+
+def _build(name, **params):
+    """The certified pair of the family id ``name`` with ``params``."""
+    return FamilyId(F, name, params).build()
 
 
 # -- 1: pfaffian calculus --------------------------------------------------------
@@ -134,26 +136,23 @@ def test_criterion_02_catalog_identity_sweep():
         for sigma in SigmaPerm.all():
             for a, b in itertools.product(CUBE_ROOTS, repeat=2):
                 for u in PRIMITIVE:
-                    total += _product_checked(build_orientable_4gen(
-                        kind, sigma=sigma, r=RootData(F, a=a, b=b, u=u)))
+                    total += _product_checked(_build(
+                        kind, sigma=sigma, a=a, b=b, u=u))
     for kind in ("alpha3", "beta3"):
         for b, c, d in itertools.product(CUBE_ROOTS, repeat=3):
             for eps in PRIMITIVE:
-                total += _product_checked(build_rank1_3gen(
-                    kind, RootData(F, a=b * c * d / eps, b=b, c=c, d=d, eps=eps)))
+                total += _product_checked(_build(kind, b=b, c=c, d=d, eps=eps))
     for a, b, c in itertools.permutations(CUBE_ROOTS, 3):
         for eps in PRIMITIVE:
-            total += _product_checked(
-                build_rank1_3gen("eta3", RootData(F, a=a, b=b, c=c, eps=eps)))
+            total += _product_checked(_build("eta3", a=a, b=b, c=c, eps=eps))
     for a, b, c in itertools.permutations(CUBE_ROOTS, 3):
-        total += _product_checked(
-            build_rank1_3gen("theta3", RootData(F, a=a, b=b, c=c)))
+        total += _product_checked(_build("theta3", a=a, b=b, c=c))
     points = _lambda_sample()
     assert len(points) >= 20
     assert {pt.chart for pt in points} == {2, 3, 4}
     for pt in points:
         for kind in ("phi_lambda", "psi_lambda"):
-            total += _product_checked(build_orientable_4gen(kind, lam=pt))
+            total += _product_checked(_build(kind, lam=pt))
     assert total == 432 + 162 + 108 + 126 + 2 * len(points)
     # display corrections live next to the package, not in it
     assert ERRATA.is_file() and ERRATA.read_text().strip()
@@ -286,12 +285,11 @@ def test_criterion_05_skewness():
                SurfacePoint(F, (-W, 0, 1, 0)),
                SurfacePoint(F, (-1, 1, 0, 0))):
         for kind in ("phi_lambda", "psi_lambda"):
-            mf = build_orientable_4gen(kind, lam=pt)
+            mf = _build(kind, lam=pt)
             assert mf.phi.is_skew() and mf.psi.is_skew()
-    r = RootData(F, a=-1, b=-W, u=W)
     for sigma in SigmaPerm.all():
         for kind in ("phi_sigma", "psi_sigma"):
-            mf = build_orientable_4gen(kind, sigma=sigma, r=r)
+            mf = _build(kind, sigma=sigma, a=-1, b=-W, u=W)
             assert mf.phi.is_skew() and mf.psi.is_skew()
     rng = random.Random(5)
     for lam in (LAM, CurvePoint.affine(F, -W, 0)):
@@ -432,7 +430,7 @@ def test_criterion_09_five_points_presentation():
 def _corner_free_point():
     # theta(-1, -w, -w^2)^t is alpha + x4*Gamma2 over [-w:0:1] on the nose
     lam = CurvePoint.affine(F, -W, 0)
-    theta = build_rank1_3gen("theta3", RootData(F, a=-1, b=-W, c=-(W * W))).phi
+    theta = _build("theta3", a=-1, b=-W, c=-(W * W)).phi
     diff = theta.transpose() - build_curve_alpha(lam).phi
     gamma2 = tuple(diff[i, j].coefficient((0, 0, 0, 1)) for i in range(3)
                    for j in range(3))

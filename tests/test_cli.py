@@ -420,6 +420,11 @@ _ALPHA3 = "alpha3:b=-1,c=-1,d=-1,eps=w"
 _BARE_PENCIL = "six_gen:lam=0:-1:1,gamma=" + ":".join(["0"] * 15)
 # {tmp} stands for a directory holding not_utf8.txt, a single 0xff byte
 _NOT_UTF8 = "{tmp}/not_utf8.txt"
+_RHO = "rho:sigma=234,a=-1,b=-w,u=w"
+
+
+def _equiv_left(left):
+    return ["equiv", "--left", left, "--right", _RHO]
 
 
 @pytest.mark.parametrize("argv, stdin, message", [
@@ -452,10 +457,30 @@ _NOT_UTF8 = "{tmp}/not_utf8.txt"
      "unexpected '\\udcff' (at position 0)"),
     (["moduli", "act", "--lambda", "0,-1", "--kind", "Uk", "--k", "2",
       "--matrix", _NOT_UTF8], None, "unexpected '\\udcff' (at position 0)"),
+    (["det"], "x1^\u00b2", "expected a number (at position 3)"),
+    (_equiv_left("phi_lambda:lam=0:-1:1"), None,
+     "phi_lambda needs a 4-coordinate point"),
+    (_equiv_left("curve_alpha:lam=-1:0:0:1"), None,
+     "curve_alpha needs a 3-coordinate point"),
+    (_equiv_left("rho:sigma"), None, "expected key=value, got 'sigma'"),
+    (_equiv_left("rho:sigma=234,sigma=243,a=-1,b=-w,u=w"), None,
+     "duplicate parameter 'sigma'"),
+    (_equiv_left(_RHO + ",normalized=2"), None,
+     "normalized must be 0 or 1, got '2'"),
+    (_equiv_left("curve_alpha:lam=0:1"), None,
+     "lam needs 3 or 4 ':'-separated coordinates"),
+    (_equiv_left("mubar:sigma=234,a=-1,b=-w,u=w,normalized=0"), None,
+     "mubar has no un-normalized display"),
+    (["moduli", "act", "--lambda=0,-1", "--kind", "S2", "--matrix", "-"],
+     "x1, x2; x3, x4", "the action applies to a 6x6 matrix"),
 ], ids=["verify", "enumerate", "equiv", "moduli_solve", "moduli_sample",
         "moduli_act", "det", "pfaffian", "equiv_bare_pencil",
         "missing_lambda", "free_count", "coeffs_count", "k_malformed",
-        "missing_file", "det_not_utf8", "moduli_act_not_utf8"])
+        "missing_file", "det_not_utf8", "moduli_act_not_utf8",
+        "det_superscript_exponent", "lambda_needs_surface_point",
+        "curve_alpha_needs_curve_point", "bare_key", "duplicate_key",
+        "normalized_value", "lam_coordinate_count", "mubar_unnormalized",
+        "moduli_act_not_6x6"])
 def test_malformed_input_is_one_error_line(capsys, monkeypatch, tmp_path,
                                            argv, stdin, message):
     (tmp_path / "not_utf8.txt").write_bytes(b"\xff")

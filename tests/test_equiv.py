@@ -19,13 +19,11 @@ from fermatmf.equiv import (
 )
 from fermatmf.families import (
     CurvePoint,
+    FamilyId,
     RootData,
     SigmaPerm,
     SurfacePoint,
-    build_5gen,
     build_curve_alpha,
-    build_nonorientable_4gen,
-    build_orientable_4gen,
     building_blocks,
     point_forms,
 )
@@ -46,6 +44,16 @@ def x(i):
     return Polynomial.variable(F, i)
 
 
+def _phi(name, r=R, **params):
+    """phi of the family id ``name`` over SIGMA and the roots of ``r``."""
+    params.update(sigma=SIGMA, a=r.a, b=r.b, u=r.u)
+    return FamilyId(F, name, params).build().phi
+
+
+def _phi_lambda(lam):
+    return FamilyId(F, "phi_lambda", {"lam": lam}).build().phi
+
+
 def _rref_span(polys):
     exps = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     rows = [[p.coefficient(e) for e in exps] for p in polys]
@@ -59,7 +67,7 @@ def _rref_span(polys):
 # -- reduction ------------------------------------------------------------------
 
 def test_reduction_of_phi_1_kills_the_last_two_rows():
-    phi = build_nonorientable_4gen(1, "phi", SIGMA, R).phi
+    phi = _phi("phi_t_sigma", t=1)
     tilde = linear_reduction(phi)
     for i in (2, 3):
         for j in range(4):
@@ -68,7 +76,7 @@ def test_reduction_of_phi_1_kills_the_last_two_rows():
 
 
 def test_reduction_of_psi_1_kills_the_first_two_columns():
-    psi = build_nonorientable_4gen(1, "psi", SIGMA, R).phi
+    psi = _phi("psi_t_sigma", t=1)
     tilde = linear_reduction(psi)
     for i in range(4):
         for j in (0, 1):
@@ -95,7 +103,7 @@ def test_verdict_witness_bookkeeping():
 # -- scalar equivalence ---------------------------------------------------------
 
 def test_scalar_equivalence_is_reflexive():
-    tilde = linear_reduction(build_nonorientable_4gen(1, "phi", SIGMA, R).phi)
+    tilde = linear_reduction(_phi("phi_t_sigma", t=1))
     verdict = scalar_equivalence(tilde, tilde)
     assert verdict.outcome == "equivalent_with_witness"
     U, V = verdict.witness
@@ -107,8 +115,8 @@ def test_scalar_equivalence_is_reflexive():
 
 
 def test_phi_1_and_psi_3_differ_at_equal_u():
-    left = linear_reduction(build_nonorientable_4gen(1, "phi", SIGMA, R).phi)
-    right = linear_reduction(build_nonorientable_4gen(3, "psi", SIGMA, R).phi)
+    left = linear_reduction(_phi("phi_t_sigma", t=1))
+    right = linear_reduction(_phi("psi_t_sigma", t=3))
     verdict = scalar_equivalence(left, right)
     assert verdict.outcome == "not_equivalent"
 
@@ -124,10 +132,8 @@ def test_phi_1_and_psi_3_collide_under_the_u_swap():
     u = PRIMITIVE[0]
     for a in CUBE_ROOTS:
         for b in CUBE_ROOTS:
-            phi = build_nonorientable_4gen(
-                1, "phi", SIGMA, RootData(F, a=a, b=b, u=u)).phi
-            psi = build_nonorientable_4gen(
-                3, "psi", SIGMA, RootData(F, a=a, b=b, u=u * u)).phi
+            phi = _phi("phi_t_sigma", RootData(F, a=a, b=b, u=u), t=1)
+            psi = _phi("psi_t_sigma", RootData(F, a=a, b=b, u=u * u), t=3)
             left = linear_reduction(phi).matrix
             right = linear_reduction(psi).matrix
             assert U0 * left == right * V0
@@ -142,9 +148,8 @@ def test_the_u_swap_collision_extends_to_the_full_matrices():
     """The frozen pair U0, V0 fails on the full matrices, but a different
     constant pair does work there, so the two slots present isomorphic
     modules and the 432-member catalog genuinely overcounts."""
-    phi = build_nonorientable_4gen(1, "phi", SIGMA, R).phi
-    psi = build_nonorientable_4gen(
-        3, "psi", SIGMA, RootData(F, a=-1, b=-W, u=W * W)).phi
+    phi = _phi("phi_t_sigma", t=1)
+    psi = _phi("psi_t_sigma", RootData(F, a=-1, b=-W, u=W * W), t=3)
     verdict = scalar_equivalence(phi, psi)
     assert verdict.outcome == "equivalent_with_witness"
     U, V = verdict.witness
@@ -155,8 +160,8 @@ def test_the_u_swap_collision_extends_to_the_full_matrices():
 def test_rho_does_not_collide_under_the_u_swap():
     # unlike the four generator displays, the five generator ones keep the
     # two primitive cube roots apart -- at both the full and reduced level
-    rho_u = build_5gen("rho", SIGMA, R).phi
-    rho_uu = build_5gen("rho", SIGMA, RootData(F, a=-1, b=-W, u=W * W)).phi
+    rho_u = _phi("rho")
+    rho_uu = _phi("rho", RootData(F, a=-1, b=-W, u=W * W))
     assert scalar_equivalence(rho_u, rho_uu).outcome == "not_equivalent"
     reduced = scalar_equivalence(linear_reduction(rho_u),
                                  linear_reduction(rho_uu))
@@ -164,8 +169,8 @@ def test_rho_does_not_collide_under_the_u_swap():
 
 
 def test_rho_and_mu_reductions_differ():
-    rho = linear_reduction(build_5gen("rho", SIGMA, R).phi)
-    mu = linear_reduction(build_5gen("mu", SIGMA, R).phi)
+    rho = linear_reduction(_phi("rho"))
+    mu = linear_reduction(_phi("mu"))
     assert scalar_equivalence(rho, mu).outcome == "not_equivalent"
 
 
@@ -178,7 +183,7 @@ def test_scalar_equivalence_checks_dimensions():
 
 def test_the_sampling_fallback_still_finds_witnesses(monkeypatch):
     monkeypatch.setattr(equiv, "_PARAM_LIMIT", 0)
-    tilde = linear_reduction(build_nonorientable_4gen(1, "phi", SIGMA, R).phi)
+    tilde = linear_reduction(_phi("phi_t_sigma", t=1))
     verdict = scalar_equivalence(tilde, tilde)
     assert verdict.outcome == "equivalent_with_witness"
     assert verdict.method == "sampled_witness"
@@ -269,13 +274,13 @@ def test_symmetrizer_requires_square_input():
 
 def test_phi_lambda_span_is_the_point_forms():
     lam = SurfacePoint(F, (-1, 0, 0, 1))
-    phi = build_orientable_4gen("phi_lambda", lam=lam).phi
+    phi = _phi_lambda(lam)
     fs = point_forms(lam)
     assert fitting_linear_span(phi) == _rref_span([fs.p1, fs.p2, fs.p3])
 
 
 def test_phi_sigma_span_is_w1_w2():
-    phi = build_orientable_4gen("phi_sigma", sigma=SIGMA, r=R).phi
+    phi = _phi("phi_sigma")
     fs = building_blocks(SIGMA, R)
     assert fitting_linear_span(phi) == _rref_span([fs.w1, fs.w2])
 
@@ -287,7 +292,7 @@ def test_zero_matrix_has_empty_span():
 def test_spans_separate_distinct_lambda():
     points = [SurfacePoint(F, (-1, 0, 0, 1)), SurfacePoint(F, (0, -1, 0, 1)),
               SurfacePoint(F, (-W, 0, 0, 1)), SurfacePoint(F, (0, 0, -W, 1))]
-    spans = [fitting_linear_span(build_orientable_4gen("phi_lambda", lam=p).phi)
+    spans = [fitting_linear_span(_phi_lambda(p))
              for p in points]
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
@@ -406,8 +411,8 @@ def test_unknown_catalog_is_rejected():
 # -- pairwise sweeps ------------------------------------------------------------
 
 def test_duplicates_are_flagged_identical():
-    phi = build_nonorientable_4gen(1, "phi", SIGMA, R).phi
-    psi = build_nonorientable_4gen(2, "phi", SIGMA, R).phi
+    phi = _phi("phi_t_sigma", t=1)
+    psi = _phi("phi_t_sigma", t=2)
     report = pairwise_distinctness([phi, psi, phi])
     methods = {tuple(e["pair"]): e["method"] for e in report.evidence}
     assert methods[(0, 2)] == "identical_params"
@@ -417,7 +422,7 @@ def test_duplicates_are_flagged_identical():
 
 
 def test_distinct_family_members_are_separated():
-    mats = [build_nonorientable_4gen(t, kind, SIGMA, R).phi
+    mats = [_phi(kind + "_t_sigma", t=t)
             for t in (1, 2, 3, 4) for kind in ("phi", "psi")]
     report = pairwise_distinctness(mats)
     assert report.inconclusive == ()
@@ -426,9 +431,8 @@ def test_distinct_family_members_are_separated():
 
 def test_budget_limits_the_scalar_tests():
     u = PRIMITIVE[0]
-    phi = build_nonorientable_4gen(1, "phi", SIGMA, R).phi
-    psi = build_nonorientable_4gen(
-        3, "psi", SIGMA, RootData(F, a=-1, b=-W, u=u * u)).phi
+    phi = _phi("phi_t_sigma", t=1)
+    psi = _phi("psi_t_sigma", RootData(F, a=-1, b=-W, u=u * u), t=3)
     report = pairwise_distinctness([phi, psi], budget=0)
     assert report.evidence[0]["method"] == "over_budget"
     assert report.inconclusive == ((0, 1),)
@@ -439,8 +443,8 @@ def test_budget_limits_the_scalar_tests():
 
 
 def test_reports_serialize_to_json():
-    phi = build_nonorientable_4gen(1, "phi", SIGMA, R).phi
-    psi = build_nonorientable_4gen(3, "psi", SIGMA, R).phi
+    phi = _phi("phi_t_sigma", t=1)
+    psi = _phi("psi_t_sigma", t=3)
     report = pairwise_distinctness([phi, psi], catalog="pair")
     blob = json.loads(json.dumps(report.to_json()))
     assert blob["catalog"] == "pair"

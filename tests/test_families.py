@@ -12,18 +12,16 @@ from fermatmf.families import (
     RootData,
     SigmaPerm,
     SurfacePoint,
-    build_5gen,
     build_curve_alpha,
     build_ideal,
-    build_nonorientable_4gen,
-    build_orientable_4gen,
-    build_rank1_3gen,
     build_six_gen,
     building_blocks,
     five_points_example,
     point_forms,
     transport_matrices,
-    _ID_KEYS,
+    _FAMILIES,
+    _PARTNERS,
+    _slot_instance,
 )
 from fermatmf.equiv import enumerate_classes
 from fermatmf.field import omega_field, sextic_field, special_roots
@@ -59,6 +57,16 @@ def x(i):
     return Polynomial.variable(F, i)
 
 
+def build(name, **params):
+    """The certified pair of the family id ``name`` with ``params``."""
+    return FamilyId(F, name, params).build()
+
+
+def sigma_build(name, sigma, r, **params):
+    """``build`` on sigma and the roots a, b, u of ``r``."""
+    return build(name, sigma=sigma, a=r.a, b=r.b, u=r.u, **params)
+
+
 def _root_sweep():
     """All 54 (sigma, a, b, u) tuples behind the 4x4/5x5 sweeps."""
     for sigma in SigmaPerm.all():
@@ -78,6 +86,9 @@ def test_sigma_legal_values():
         SigmaPerm(3, 2, 4)  # i < j violated
     with pytest.raises(FamilyError):
         SigmaPerm.from_string("123")
+    # str.isdigit admits the fullwidth digits; a sigma string takes 0-9 alone
+    with pytest.raises(FamilyError, match="three digits"):
+        SigmaPerm.from_string("\uff12\uff13\uff14")
 
 
 def test_root_data_validation():
@@ -157,8 +168,8 @@ def test_repeated_builds_share_their_forms():
     second = building_blocks(SigmaPerm(2, 3, 4), RootData(F, a=-1, b=-W, u=W))
     assert second is first and second.w1 is first.w1
     assert building_blocks(sigma, RootData(F, a=-1, b=-W, u=W * W)) is not first
-    one = build_nonorientable_4gen(1, "phi", sigma, RootData(F, a=-1, b=-W, u=W)).phi
-    two = build_nonorientable_4gen(1, "phi", sigma, RootData(F, a=-1, b=-W, u=W)).phi
+    one = build("phi_t_sigma", t=1, sigma=sigma, a=-1, b=-W, u=W).phi
+    two = build("phi_t_sigma", t=1, sigma=sigma, a=-1, b=-W, u=W).phi
     assert one[0, 1] is two[0, 1] is first.w1
     assert one[1, 0] is two[1, 0]        # -w1
     assert one[1, 2] is two[1, 2]        # -x4
@@ -194,44 +205,41 @@ def test_point_forms_in_all_three_charts():
 # -- three-generated families ----------------------------------------------------
 
 def test_alpha3_standard_instance():
-    r = RootData(F, a=-W * W, b=-1, c=-1, d=-1, eps=W)
-    mf = literal(build_rank1_3gen("alpha3", r))
+    # a = b*c*d/eps = -w^2
+    mf = literal(build("alpha3", b=-1, c=-1, d=-1, eps=W))
     assert mf.size == 3
     assert mf.phi[0, 1] == x(1) - (-W * W) * x(4)
     assert mf.f == f
 
 
 def test_beta3_is_the_transpose_family():
-    r = RootData(F, a=-W * W, b=-1, c=-1, d=-1, eps=W)
-    alpha = build_rank1_3gen("alpha3", r)
-    beta = build_rank1_3gen("beta3", r)
+    alpha = build("alpha3", b=-1, c=-1, d=-1, eps=W)
+    beta = build("beta3", b=-1, c=-1, d=-1, eps=W)
     assert beta.phi == alpha.phi.transpose()
     literal(beta)
 
 
 def test_eta3_and_theta3():
-    mf = literal(build_rank1_3gen("eta3", RootData(F, a=-1, b=-W, c=-W * W, eps=W)))
+    mf = literal(build("eta3", a=-1, b=-W, c=-W * W, eps=W))
     assert mf.phi[1, 2] == 0
-    literal(build_rank1_3gen("theta3", RootData(F, a=-1, b=-W, c=-W * W)))
+    literal(build("theta3", a=-1, b=-W, c=-W * W))
     with pytest.raises(FamilyError):
-        build_rank1_3gen("eta3", RootData(F, a=-1, b=-1, c=-W, eps=W))
+        build("eta3", a=-1, b=-1, c=-W, eps=W)
 
 
 def test_three_generated_sweeps():
-    # alpha3: any (b,c,d,eps) with a forced by b*c*d = eps*a
+    # alpha3: any (b,c,d,eps), with a forced by b*c*d = eps*a
     count = 0
     for b, c, d in itertools.product(CUBE_ROOTS, repeat=3):
         for eps in PRIMITIVE:
-            a = b * c * d / eps
-            r = RootData(F, a=a, b=b, c=c, d=d, eps=eps)
-            literal(build_rank1_3gen("alpha3", r))
+            literal(build("alpha3", b=b, c=c, d=d, eps=eps))
             count += 1
     assert count == 54
     # eta3 / theta3: (a,b,c) a permutation of the three roots
     for a, b, c in itertools.permutations(CUBE_ROOTS):
         for eps in PRIMITIVE:
-            literal(build_rank1_3gen("eta3", RootData(F, a=a, b=b, c=c, eps=eps)))
-        literal(build_rank1_3gen("theta3", RootData(F, a=a, b=b, c=c)))
+            literal(build("eta3", a=a, b=b, c=c, eps=eps))
+        literal(build("theta3", a=a, b=b, c=c))
 
 
 def test_curve_alpha_on_both_charts():
@@ -248,36 +256,35 @@ def test_curve_alpha_on_both_charts():
 
 def test_phi_lambda_is_skew_with_pfaffian_f():
     lam = SurfacePoint(F, (0, 0, -1, 1))
-    mf = literal(build_orientable_4gen("phi_lambda", lam=lam))
+    mf = literal(build("phi_lambda", lam=lam))
     assert mf.phi.is_skew() and mf.psi.is_skew()
     assert pfaffian(mf.phi) == f
     assert pfaffian(mf.psi) == f
     fs = point_forms(lam)
     assert mf.psi[0, 3] == fs.p1
-    swapped = build_orientable_4gen("psi_lambda", lam=lam)
+    swapped = build("psi_lambda", lam=lam)
     assert swapped.phi == mf.psi
 
 
 def test_phi_sigma_entries_and_beta_slot():
     sigma = SigmaPerm(2, 3, 4)
     r = RootData(F, a=-1, b=-1, u=W)
-    mf = literal(build_orientable_4gen("phi_sigma", sigma=sigma, r=r))
+    mf = literal(sigma_build("phi_sigma", sigma, r))
     fs = building_blocks(sigma, r)
     assert mf.phi[1, 3] == fs.w2
     assert mf.phi[1, 2] == -x(3) * x(4)  # the default slot x_j*x_s
     assert pfaffian(mf.phi) == f
     # the identity does not depend on the slot at all
-    custom = literal(build_orientable_4gen("phi_sigma", sigma=sigma, r=r,
-                                           beta=x(1) * x(1)))
+    custom = literal(_slot_instance("phi_sigma", sigma, fs, x(1) * x(1)))
     assert pfaffian(custom.phi) == f
 
 
 def test_orientable_4gen_sweep():
     for coords in ((0, 0, -1, 1), (-1, 0, 1, 0), (-W, 1, 0, 0)):
         lam = SurfacePoint(F, coords)
-        literal(build_orientable_4gen("phi_lambda", lam=lam))
+        literal(build("phi_lambda", lam=lam))
     for sigma, r in _root_sweep():
-        literal(build_orientable_4gen("phi_sigma", sigma=sigma, r=r))
+        literal(sigma_build("phi_sigma", sigma, r))
 
 
 # -- non-orientable 4x4 ----------------------------------------------------------
@@ -286,22 +293,22 @@ def test_nonorientable_entry_oracles():
     sigma = SigmaPerm(2, 3, 4)
     r = RootData(F, a=-1, b=-1, u=W)
     fs = building_blocks(sigma, r)
-    mf = build_nonorientable_4gen(1, "phi", sigma, r)
+    mf = sigma_build("phi_t_sigma", sigma, r, t=1)
     assert mf.phi[0, 1] == fs.w1 == x(1) + x(4)
-    mf = build_nonorientable_4gen(3, "psi", sigma, r)
+    mf = sigma_build("psi_t_sigma", sigma, r, t=3)
     assert mf.phi[0, 3] == x(4)  # x_s for sigma=(2,3,4)
-    with pytest.raises(FamilyError):
-        build_nonorientable_4gen(5, "phi", sigma, r)
-    with pytest.raises(FamilyError):
-        build_nonorientable_4gen(1, "adj", sigma, r)
+    with pytest.raises(FamilyError, match=r"^t must be 1\.\.4, got 5$"):
+        sigma_build("phi_t_sigma", sigma, r, t=5)
+    with pytest.raises(FamilyError, match="unknown family name 'adj_t_sigma'"):
+        sigma_build("adj_t_sigma", sigma, r, t=1)
 
 
 def test_nonorientable_full_sweep_432():
     count = 0
     for sigma, r in _root_sweep():
         for t in (1, 2, 3, 4):
-            for kind in ("phi", "psi"):
-                build_nonorientable_4gen(t, kind, sigma, r)
+            for name in ("phi_t_sigma", "psi_t_sigma"):
+                sigma_build(name, sigma, r, t=t)
                 count += 1
     assert count == 432
 
@@ -312,21 +319,23 @@ def test_5gen_entry_oracles():
     sigma = SigmaPerm(2, 3, 4)
     r = RootData(F, a=-1, b=-1, u=W)
     fs = building_blocks(sigma, r)
-    mf = build_5gen("rho", sigma, r)
+    mf = sigma_build("rho", sigma, r)
     assert mf.phi[0, 3] == -x(3)  # -x_j
-    mf = build_5gen("mu", sigma, r, normalized=False)
+    mf = sigma_build("mu", sigma, r, normalized=False)
     assert mf.phi[4, 3] == fs.w2 * fs.v2pp
+    for name in ("mubar", "nubar"):
+        with pytest.raises(FamilyError,
+                           match="^mubar has no un-normalized display$"):
+            sigma_build(name, sigma, r, normalized=False)
     with pytest.raises(FamilyError):
-        build_5gen("mubar", sigma, r, normalized=False)
-    with pytest.raises(FamilyError):
-        build_5gen("tau", sigma, r)
+        sigma_build("tau", sigma, r)
 
 
 def test_5gen_normalized_sweep_162():
     count = 0
     for sigma, r in _root_sweep():
         for kind in ("rho", "mu", "mubar"):
-            mf = build_5gen(kind, sigma, r)
+            mf = sigma_build(kind, sigma, r)
             assert mf.size == 5
             count += 1
     assert count == 162
@@ -336,7 +345,7 @@ def test_5gen_unnormalized_sweep_108():
     count = 0
     for sigma, r in _root_sweep():
         for kind in ("rho", "mu"):
-            literal(build_5gen(kind, sigma, r, normalized=False))
+            literal(sigma_build(kind, sigma, r, normalized=False))
             count += 1
     assert count == 108
 
@@ -347,7 +356,7 @@ def test_omega_sign_correction_is_forced():
     sigma = SigmaPerm(2, 3, 4)
     r = RootData(F, a=-1, b=-1, u=W)
     for normalized in (True, False):
-        mf = build_5gen("rho", sigma, r, normalized=normalized)
+        mf = sigma_build("rho", sigma, r, normalized=normalized)
         rows = [list(row) for row in mf.psi.rows()]
         rows[2][1] = -rows[2][1]
         uncorrected = PolyMatrix(F, rows)
@@ -544,15 +553,15 @@ def _display_lines():
     for sigma, r in _root_sweep():
         tag = "%d%d%d|%s|%s|%s" % (sigma.i, sigma.j, sigma.s, r.a, r.b, r.u)
         for kind in ("phi_sigma", "psi_sigma"):
-            mf = build_orientable_4gen(kind, sigma=sigma, r=r)
+            mf = sigma_build(kind, sigma, r)
             yield "%s|%s|%s" % (kind, tag, pair(mf))
         for t in (1, 2, 3, 4):
             for kind in ("phi", "psi"):
-                mf = build_nonorientable_4gen(t, kind, sigma, r)
+                mf = sigma_build(kind + "_t_sigma", sigma, r, t=t)
                 yield "%s_%d|%s|%s" % (kind, t, tag, pair(mf))
         for kind, normalized in (("rho", True), ("mu", True), ("mubar", True),
                                  ("rho", False), ("mu", False)):
-            mf = build_5gen(kind, sigma, r, normalized=normalized)
+            mf = sigma_build(kind, sigma, r, normalized=normalized)
             yield "%s%s|%s|%s" % (kind, "" if normalized else "1", tag,
                                   pair(mf))
         for kind in _SIGMA_IDEALS:
@@ -630,7 +639,7 @@ _ONE_ID_PER_NAME = (
 def test_every_family_name_builds_a_certified_pair():
     ids = [FamilyId.parse(F, text)
            for text in _ONE_ID_PER_NAME + (_CERTIFIED_PENCIL,)]
-    assert {fid.name for fid in ids} == set(_ID_KEYS)
+    assert {fid.name for fid in ids} == set(_FAMILIES) | set(_PARTNERS)
     for fid in ids:
         mf = fid.build()
         assert isinstance(mf, MatrixFactorization)
@@ -642,7 +651,8 @@ def test_a_warm_build_makes_no_matrix_product(monkeypatch):
     # by det(phi) = f and phi_lambda by Pf(phi) = f; a partner name swaps
     # the certified pair, so a warm build multiplies no matrices at all
     ids = [FamilyId.parse(F, text) for text in _ONE_ID_PER_NAME]
-    assert {fid.name for fid in ids} == set(_ID_KEYS) - {"six_gen"}
+    assert {fid.name for fid in ids} == \
+        (set(_FAMILIES) | set(_PARTNERS)) - {"six_gen"}
     for fid in ids:
         fid.build()  # warm: form sets, variables and row proofs are memoised
     products = []
@@ -689,10 +699,10 @@ def test_a_flipped_display_entry_fails_its_row_proof(monkeypatch):
     sigma = SigmaPerm(2, 3, 4)
     r = RootData(F, a=-1, b=-1, u=W)
     with pytest.raises(FamilyError) as err:
-        build_5gen("rho", sigma, r)
+        sigma_build("rho", sigma, r)
     assert str(err.value) == (
         "slot row rho fails phi*psi = (W1*V1 + W2*V2)*Id: "
         "[0,1] 2*W1*V2'*V2''; [2,1] -2*W1*V1''*V2''")
     # once the display is mended, rho proves again
     monkeypatch.setitem(families._SLOT_ROWS, "rho", (display, slots, order))
-    literal(build_5gen("rho", sigma, r))
+    literal(sigma_build("rho", sigma, r))

@@ -280,6 +280,18 @@ def test_a_matrix_lives_in_the_ring_of_its_entries():
         PolyMatrix.identity(F, 2, scale=y, nvars=4)
 
 
+def test_map_entries_stays_in_the_ring_of_its_matrix():
+    # mapping to scalars keeps the matrix's variables, not x1..x4
+    ring = [Polynomial.variable(F, k, 7) for k in range(1, 8)]
+    M = PolyMatrix(F, [[ring[0] + 2, ring[6] - 3]])
+    constants = M.map_entries(lambda p: p.constant_term())
+    assert constants.nvars == 7
+    assert constants == PolyMatrix(F, [[2, -3]], nvars=7)
+    assert constants.transpose() * M == PolyMatrix(F, [
+        [2 * ring[0] + 4, 2 * ring[6] - 6],
+        [-3 * ring[0] - 6, -3 * ring[6] + 9]])
+
+
 def test_slot_residuals_print_in_the_slot_symbols():
     Q = rationals()
     a, b = (Polynomial(Q, {e: 1}, 2) for e in ((1, 0), (0, 1)))

@@ -10,10 +10,9 @@ import fermatmf.moduli6 as moduli6
 from fermatmf.field import omega_field, sextic_field
 from fermatmf.families import (
     CurvePoint,
+    FamilyId,
     GammaBlock,
-    RootData,
     build_curve_alpha,
-    build_rank1_3gen,
     build_six_gen,
 )
 from fermatmf.matrix import PolyMatrix, block, determinant, pfaffian
@@ -414,7 +413,7 @@ def test_the_sign_flip_swaps_the_pfaffian_sheet():
 def _corner_free_point():
     # theta(-1, -w, -w^2)^t is alpha + x4*Gamma2 over [-w:0:1] on the nose
     lam = CurvePoint.affine(F, -W, 0)
-    theta = build_rank1_3gen("theta3", RootData(F, a=-1, b=-W, c=-(W * W))).phi
+    theta = FamilyId(F, "theta3", {"a": -1, "b": -W, "c": -(W * W)}).build().phi
     lifted = theta.transpose()
     alpha = build_curve_alpha(lam).phi
     diff = lifted - alpha

@@ -114,6 +114,16 @@ def test_parse_errors():
         parse(F, "(x1")
     with pytest.raises(ParseError):
         parse_scalar(F, "x1+1")
+    # str.isdigit holds for a fullwidth 1, an Arabic-Indic 3 and a
+    # superscript 2, but the grammar's digits are 0-9 alone
+    for text, message in (
+            ("\uff11", "unexpected '\uff11' (at position 0)"),
+            ("x\u0663", "unknown variable 'x' (at position 0)"),
+            ("x1^\u00b2", "expected a number (at position 3)"),
+            ("2\u00b2", "unexpected '\u00b2' (at position 1)")):
+        with pytest.raises(ParseError) as err:
+            parse(F, text)
+        assert str(err.value) == message
 
 
 def test_powers_are_bounded_before_they_expand(monkeypatch):
