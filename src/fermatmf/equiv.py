@@ -82,10 +82,10 @@ class ReducedMatrix:
 class EquivalenceVerdict:
     """Outcome of one decision, with the certifying constant matrices.
 
-    ``witness`` is a tuple of constant matrices: (U, V) for an
-    intertwining pair, (T,) for a skew symmetrizer.  Witnesses are
-    re-verified before the verdict is built, so holding one means the
-    defining identity has been checked exactly.
+    ``witness`` is a tuple of constant matrices, (U, V) for an
+    intertwining pair.  Witnesses are re-verified before the verdict is
+    built, so holding one means the defining identity has been checked
+    exactly.
     """
 
     OUTCOMES = ("equivalent_with_witness", "not_equivalent", "inconclusive")
@@ -344,67 +344,6 @@ def scalar_equivalence(A, B):
         return U * A == B * V
 
     return _decide_blocks(A.field, basis, [(0, m), (m * m, n)], verify)
-
-
-# -- skew symmetrizers ----------------------------------------------------------
-
-def skew_symmetrizer_exists(M, modulus=None):
-    """Is there an invertible constant T making T*M skew-symmetric?
-
-    With ``modulus`` the condition is asked only modulo that single
-    polynomial; since T is constant, reducing the entries of M first is
-    the same as reducing T*M + (T*M)^t afterwards.  The verdict reuses
-    the equivalence vocabulary: equivalent_with_witness means "exists",
-    with witness (T,).
-    """
-    M = _entry_matrix(M)
-    if not M.is_square():
-        raise MatrixError("skew symmetrizer of a non-square matrix")
-    field = M.field
-    n = M.nrows
-    if modulus is not None:
-        M = M.map_entries(lambda p: p.reduced_mod(modulus))
-    # (T*M + (T*M)^t)[i][j] = sum_k T[i][k]*M[k][j] + T[j][k]*M[k][i]
-    equations = [[(i * n + k, M.entries[k][j]) for k in range(n)]
-                 + [(j * n + k, M.entries[k][i]) for k in range(n)]
-                 for i in range(n) for j in range(i, n)]
-    basis = field_nullspace(_coefficient_rows(equations), field, n * n)
-
-    def verify(witness):
-        T, = witness
-        if not determinant(T):
-            return False
-        P = T * M
-        return (P + P.transpose()).is_zero()
-
-    return _decide_blocks(field, basis, [(0, n)], verify)
-
-
-# -- linear invariants ----------------------------------------------------------
-
-def fitting_linear_span(M):
-    """Reduced basis of the K-span of the linear parts of all entries.
-
-    Each nonzero linear part gives one {variable index: coefficient} row,
-    written from its terms, of one ``field_rref`` over the four variables.
-    """
-    M = _entry_matrix(M)
-    field = M.field
-    rows = []
-    for row in M.rows():
-        for entry in row:
-            lin = entry.linear_part()
-            if lin:
-                rows.append({_LINEAR_INDEX[e]: c for e, c in lin.terms.items()
-                             if e in _LINEAR_INDEX})
-    if not rows:
-        return ()
-    reduced, pivots = field_rref(rows, field, len(LINEAR_EXPS))
-    basis = []
-    for r in range(len(pivots)):
-        terms = {e: c for e, c in zip(LINEAR_EXPS, reduced[r]) if c}
-        basis.append(Polynomial(field, terms))
-    return tuple(basis)
 
 
 # -- bounded-degree matrix equations --------------------------------------------

@@ -2,8 +2,8 @@
 
 Every named family lives here: the 3x3 curve and surface forms, the orientable
 and non-orientable 4x4 pairs, the five 5x5 pairs with their un-normalized
-variants, the ideals they present, and the 6x6 skew pencil x4*Gamma + alpha
-block together with its transport matrices.  A listing is named and built
+variants, and the 6x6 skew pencil x4*Gamma + alpha block together with its
+transport matrices.  A listing is named and built
 through ``FamilyId`` alone: one table, ``_FAMILIES``, maps each family name
 to its parameter keys and the builder of its certified pair.  A print
 discrepancy that breaks phi*psi = f*Id is treated as a defect of the source
@@ -342,12 +342,6 @@ class GammaBlock(_Frozen):
         g2 = self.gamma2()
         return block([[self.gamma1(), -g2.transpose()],
                       [g2, self.gamma3()]])
-
-    def gamma1_is_zero(self):
-        return not any(self.values[0:3])
-
-    def gamma3_is_zero(self):
-        return not any(self.values[3:6])
 
     def __eq__(self, other):
         if not isinstance(other, GammaBlock):
@@ -729,52 +723,6 @@ def _five_gen(fid):
         if row not in _SLOT_ROWS:
             raise FamilyError("mubar has no un-normalized display")
     return _sigma_pair(fid, row)
-
-
-# -- ideals ----------------------------------------------------------------------
-
-def build_ideal(kind, lam=None, sigma=None, r=None, beta=None):
-    """Generator lists (in display order) for the presented ideals.
-
-    Kinds: I_lambda; I_sigma_beta; I_1_sigma..I_4_sigma; J_1_sigma, J_2_sigma;
-    T_1_sigma..T_8_sigma.
-    """
-    if kind == "I_lambda":
-        if lam is None:
-            raise FamilyError("I_lambda needs a surface point")
-        fs = point_forms(lam)
-        return [fs.p1, fs.p2, fs.p3]
-    if sigma is None or r is None:
-        raise FamilyError("%s needs sigma and roots" % kind)
-    fs = building_blocks(sigma, r)
-    field = r.field
-    x = _variables(field)
-    xj, xs = x[sigma.j - 1], x[sigma.s - 1]
-    w1, w2, v1, v2 = fs.w1, fs.w2, fs.v1, fs.v2
-    v1p, v1pp, v2p, v2pp = fs.v1p, fs.v1pp, fs.v2p, fs.v2pp
-    if kind == "I_sigma_beta":
-        if beta is None:
-            beta = xj * xs
-        return [w1, v2, beta]
-    table = {
-        "I_1_sigma": [xs * v2p, v2, w1],
-        "I_2_sigma": [xj * v1pp, v1, w2],
-        "I_3_sigma": [xs * v2pp, v2, v1],
-        "I_4_sigma": [xj * v1p, v1, v2],
-        "J_1_sigma": [v1, v2, v1p * v2p, v1pp * v2pp],
-        "J_2_sigma": [v1, v2, v1p * v2pp, v1pp * v2p],
-        "T_1_sigma": [v1, v2, v1p * v2pp, v2pp * v2pp],
-        "T_2_sigma": [v1, v2, v1pp * v2pp, v2pp * v2pp],
-        "T_3_sigma": [v1, v2, v1pp * v2p, v2p * v2p],
-        "T_4_sigma": [v1, v2, v1p * v2p, v2p * v2p],
-        "T_5_sigma": [v1, v2, v1p * v2pp, v1p * v1p],
-        "T_6_sigma": [v1, v2, v1p * v2p, v1p * v1p],
-        "T_7_sigma": [v1, v2, v1pp * v2pp, v1pp * v1pp],
-        "T_8_sigma": [v1, v2, v1pp * v2p, v1pp * v1pp],
-    }
-    if kind not in table:
-        raise FamilyError("unknown ideal kind %r" % (kind,))
-    return table[kind]
 
 
 # -- the six-generated pencil ----------------------------------------------------

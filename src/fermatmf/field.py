@@ -400,9 +400,6 @@ class FieldElement:
     def is_rational(self):
         return not any(self._nums[1:])
 
-    def as_rational(self):
-        return Fraction(self._nums[0], self._den)
-
     def __str__(self):
         # integers print as their Fractions do, so only a denominator
         # other than 1 needs the Fractions

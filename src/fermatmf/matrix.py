@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .field import FermatmfError, FieldElement, TowerError
-from .poly import NVARS, Polynomial, parse
+from .poly import MAX_POWER_DEGREE, NVARS, Polynomial, parse
 
 # the largest n for which determinant and pfaffian expand an n x n matrix;
 # their memo tables hold 2^n entries
@@ -189,9 +189,6 @@ class PolyMatrix:
                     return False
         return True
 
-    def is_zero(self):
-        return all(not a for row in self.entries for a in row)
-
     def __str__(self):
         return format_matrix(self)
 
@@ -249,10 +246,23 @@ def expand_determinant(grid, one, zero):
     return table[(1 << n) - 1]
 
 
-def _require_small(M, what):
+def _require_small(M, what, halve=False):
+    """Refuse M before expanding when its size is past MAX_SIZE or its
+    result's degree may pass MAX_POWER_DEGREE, the parser's bound on one
+    entry, so a few high-degree entries cannot ask for hours of products.
+    The bound on deg det(M) is the sum of each row's largest entry degree,
+    read in one pass over the terms; ``halve`` takes half of it, the bound
+    on deg Pf(M)."""
     if max(M.nrows, M.ncols) > MAX_SIZE:
         raise MatrixError("%s of a %dx%d matrix: sizes stop at %dx%d"
                           % (what, M.nrows, M.ncols, MAX_SIZE, MAX_SIZE))
+    degree = sum(max((sum(e) for a in row for e in a.terms), default=0)
+                 for row in M.entries)
+    if halve:
+        degree //= 2
+    if degree > MAX_POWER_DEGREE:
+        raise MatrixError("%s of degree up to %d: degrees stop at %d"
+                          % (what, degree, MAX_POWER_DEGREE))
 
 
 def determinant(M):
@@ -353,7 +363,7 @@ def _pf_recursive(M, indices, memo):
 def pfaffian(M):
     """Pfaffian of an even skew matrix of size at most MAX_SIZE; Pf(M)^2 =
     det(M)."""
-    _require_small(M, "Pfaffian")
+    _require_small(M, "Pfaffian", halve=True)
     _require_skew(M, 0)
     return _pf_recursive(M, tuple(range(M.nrows)), {})
 
@@ -394,27 +404,6 @@ def pfaffian_vector(d2):
         sub = _pf_recursive(d2, rest, memo)
         out.append(sub if i % 2 == 0 else -sub)
     return out
-
-
-def assemble_gorenstein_skew(d2, v):
-    """The (2s+2) x (2s+2) skew matrix [[d2, v], [-v^t, 0]].
-
-    ``d2`` is skew of odd size and ``v`` a column with matching height.
-    """
-    _require_skew(d2, 1)
-    if isinstance(v, PolyMatrix):
-        if v.ncols != 1 or v.nrows != d2.nrows:
-            raise MatrixError("column has wrong shape")
-        column = [v.entries[i][0] for i in range(v.nrows)]
-    else:
-        column = list(v)
-        if len(column) != d2.nrows:
-            raise MatrixError("column has wrong length")
-    field = d2.field
-    zero = Polynomial.zero(field, d2.nvars)
-    rows = [list(row) + [column[i]] for i, row in enumerate(d2.entries)]
-    rows.append([-c for c in column] + [zero])
-    return PolyMatrix(field, rows, d2.nvars)
 
 
 class MatrixFactorization:

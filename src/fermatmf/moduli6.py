@@ -143,13 +143,13 @@ def residual_equations(lam, gamma):
 
 
 def equation_values(lam, gamma):
-    """Values of the ten coefficient equations of Pf(Lambda) - f at a point.
+    """Values of the ten equations i1..i10 at a point.
 
-    The order is the interreduced one: three Gamma2 traces, two more linear
-    ones mixing in the curve constants, the two quadratic residuals, the
-    sixth linear equation, and the two higher residuals.  A pencil satisfies
-    Pf(Lambda) = f exactly when all ten vanish.  The values are those of
-    _linear_values and residual_equations, interleaved in that order.
+    In order: three Gamma2 traces, two more linear ones mixing in the curve
+    constants, the two quadratic residuals, the sixth linear equation, and
+    the two higher residuals.  A pencil satisfies Pf(Lambda) = f exactly
+    when all ten vanish.  The values are those of _linear_values and
+    residual_equations, interleaved in that order.
     """
     i1, i2, i3, i4, i5, i8 = _linear_values(lam, gamma)
     i6, i7, i9, i10 = residual_equations(lam, gamma)

@@ -283,42 +283,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def leading(self):
-        """(monomial, coefficient) largest in graded lex; None for zero."""
-        if not self.terms:
-            return None
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
-
-    def reduced_mod(self, modulus):
-        """Remainder of division by a single polynomial, graded-lex leading term.
-
-        Used to compare matrix entries modulo one relation (e.g. the cubic
-        itself); with a single monic-leading divisor the remainder is
-        canonical.
-        """
-        if self._coerce_scalar(modulus) is not None:
-            raise TypeError("the modulus must be a polynomial")
-        lead = modulus.leading()
-        if lead is None:
-            raise ZeroDivisionError("division by the zero polynomial")
-        lexps, lcoeff = lead
-        lcoeff_inv = lcoeff.inv()
-        rest = modulus - Polynomial(self.field, {lexps: lcoeff}, self.nvars)
-        rem = self
-        while True:
-            target = None
-            for exps in rem.terms:
-                if all(a >= b for a, b in zip(exps, lexps)):
-                    if target is None or grlex_key(exps) > grlex_key(target):
-                        target = exps
-            if target is None:
-                return rem
-            q = tuple(a - b for a, b in zip(target, lexps))
-            factor = Polynomial(self.field, {q: rem.terms[target] * lcoeff_inv},
-                                self.nvars)
-            rem = rem - factor * modulus
-
     # -- printing ------------------------------------------------------------
 
     def format(self, names=None):
@@ -354,9 +318,13 @@ def fermat_cubic3(field):
 
 # -- parsing ------------------------------------------------------------------
 
-# A power is expanded as it is parsed, so its exponent and its total degree
-# are bounded: a short input cannot ask for hours of expansion.
+# A power or product is expanded as it is parsed, so its exponent and its
+# total degree are bounded: a short input cannot ask for hours of expansion.
 MAX_POWER_DEGREE = 12
+# Each parenthesis and each sign inside a product nests one more call; the
+# bound keeps a deep input a ParseError, far from the interpreter's
+# recursion limit.
+MAX_NESTING = 100
 
 
 def _is_digit(ch):
@@ -368,6 +336,13 @@ class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def nest(self):
+        """Enter one nesting level; the caller leaves it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nesting deeper than %d" % MAX_NESTING)
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -410,10 +385,11 @@ def parse(field, text):
     """Parse the polynomial grammar over ``field``.
 
     Variables are x1..x4; ``^`` takes an integer exponent of at most
-    ``MAX_POWER_DEGREE``, the power's total degree is at most that too, and
-    powers do not chain (``(x1^2)^3``, not ``x1^2^3``); ``*`` may be omitted
-    between variable/generator/parenthesized factors; coefficients are
-    rationals ``p/q`` and the field's generator names.
+    ``MAX_POWER_DEGREE``, the total degree of a power or product is at most
+    that too, and powers do not chain (``(x1^2)^3``, not ``x1^2^3``); ``*``
+    may be omitted between variable/generator/parenthesized factors;
+    parentheses and signs inside a product nest at most ``MAX_NESTING``
+    deep; coefficients are rationals ``p/q`` and the field's generator names.
     """
     toks = _Tokens(text)
     p = _parse_sum(field, toks)
@@ -451,18 +427,25 @@ def _parse_sum(field, toks):
             return p
 
 
+def _degree(p):
+    return max(map(sum, p.terms), default=0)
+
+
 def _parse_product(field, toks):
     p = _parse_power(field, toks)
     while True:
         ch = toks.peek()
         if ch == "*":
             toks.pos += 1
-            p = p * _parse_power(field, toks)
-        elif ch is not None and (ch.isalpha() or ch == "("):
-            # the grammar allows omitting * before a variable-like factor
-            p = p * _parse_power(field, toks)
-        else:
+        elif ch is None or not (ch.isalpha() or ch == "("):
             return p
+        # else the grammar allows omitting * before a variable-like factor
+        start = toks.pos
+        q = _parse_power(field, toks)
+        if _degree(p) + _degree(q) > MAX_POWER_DEGREE:
+            raise ParseError("product above total degree %d"
+                             % MAX_POWER_DEGREE, start)
+        p = p * q
 
 
 def _parse_power(field, toks):
@@ -473,7 +456,7 @@ def _parse_power(field, toks):
     toks._skip_ws()
     start = toks.pos
     n = toks.take_int()
-    degree = max(map(sum, p.terms), default=0) * n
+    degree = _degree(p) * n
     if n > MAX_POWER_DEGREE or degree > MAX_POWER_DEGREE:
         raise ParseError("power above exponent or total degree %d"
                          % MAX_POWER_DEGREE, start)
@@ -487,16 +470,21 @@ def _parse_atom(field, toks):
     if ch is None:
         toks.error("unexpected end of input")
     if ch == "(":
+        toks.nest()
         toks.pos += 1
         p = _parse_sum(field, toks)
         if toks.peek() != ")":
             toks.error("expected ')'")
         toks.pos += 1
+        toks.depth -= 1
         return p
     if ch == "-":
         # a sign inside a product negates a power: x2*-x1^2 = -(x1^2)*x2
+        toks.nest()
         toks.pos += 1
-        return -_parse_power(field, toks)
+        p = -_parse_power(field, toks)
+        toks.depth -= 1
+        return p
     if _is_digit(ch):
         num = toks.take_int()
         if toks.peek() == "/":

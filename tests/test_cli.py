@@ -473,6 +473,12 @@ def _equiv_left(left):
      "mubar has no un-normalized display"),
     (["moduli", "act", "--lambda=0,-1", "--kind", "S2", "--matrix", "-"],
      "x1, x2; x3, x4", "the action applies to a 6x6 matrix"),
+    (["det"], "(" * 3000 + "x1" + ")" * 3000,
+     "nesting deeper than 100 (at position 100)"),
+    (["det"], "x2*" + "-" * 5000 + "x1",
+     "nesting deeper than 100 (at position 103)"),
+    (["det"], "(x1+x2+x3+x4+1)^12*(x1+x2+x3+x4+1)^12",
+     "product above total degree 12 (at position 19)"),
 ], ids=["verify", "enumerate", "equiv", "moduli_solve", "moduli_sample",
         "moduli_act", "det", "pfaffian", "equiv_bare_pencil",
         "missing_lambda", "free_count", "coeffs_count", "k_malformed",
@@ -480,7 +486,8 @@ def _equiv_left(left):
         "det_superscript_exponent", "lambda_needs_surface_point",
         "curve_alpha_needs_curve_point", "bare_key", "duplicate_key",
         "normalized_value", "lam_coordinate_count", "mubar_unnormalized",
-        "moduli_act_not_6x6"])
+        "moduli_act_not_6x6", "det_deep_parentheses", "det_deep_signs",
+        "det_product_of_powers"])
 def test_malformed_input_is_one_error_line(capsys, monkeypatch, tmp_path,
                                            argv, stdin, message):
     (tmp_path / "not_utf8.txt").write_bytes(b"\xff")
@@ -512,6 +519,42 @@ def test_matrices_above_8x8_are_refused_before_expansion(
     code, out, err = run(capsys, [command])
     assert code == 2 and not out
     assert err == "error: %s of a 9x9 matrix: sizes stop at 8x8\n" % what
+
+
+_POWER12 = "(x1^12 + x2)"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("det", "%s, %s; %s, %s" % ((_POWER12,) * 4),
+     "determinant of degree up to 24"),
+    ("pfaffian", "0, %s, 0, 0; -%s, 0, 0, 0; 0, 0, 0, x1; 0, 0, -x1, 0"
+     % (_POWER12, _POWER12), "Pfaffian of degree up to 13"),
+], ids=["det", "pfaffian"])
+def test_results_above_degree_12_are_refused_before_expansion(
+        capsys, monkeypatch, command, text, message):
+    from fermatmf import matrix
+
+    def no_expansion(*_):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(matrix, "expand_determinant", no_expansion)
+    monkeypatch.setattr(matrix, "_pf_recursive", no_expansion)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, [command])
+    assert code == 2 and not out
+    assert err == "error: %s: degrees stop at 12\n" % message
+
+
+@pytest.mark.parametrize("command, text, value", [
+    ("det", "x1^6, x2; 0, x2^6", "x1^6*x2^6"),
+    ("pfaffian", "0, x1^12; -x1^12, 0", "x1^12"),
+], ids=["det", "pfaffian"])
+def test_a_result_of_degree_12_still_expands(capsys, monkeypatch,
+                                             command, text, value):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, data = run_json(capsys, [command])
+    assert code == 0
+    assert data["checks"][0]["value"] == value
 
 
 @pytest.mark.parametrize("exponent", [13, 60])

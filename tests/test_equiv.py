@@ -10,25 +10,21 @@ from fermatmf.equiv import (
     EquivalenceVerdict,
     ReducedMatrix,
     enumerate_classes,
-    fitting_linear_span,
     linear_reduction,
     matrix_equation_solvable,
     pairwise_distinctness,
     scalar_equivalence,
-    skew_symmetrizer_exists,
 )
 from fermatmf.families import (
-    CurvePoint,
     FamilyId,
     RootData,
     SigmaPerm,
     SurfacePoint,
-    build_curve_alpha,
     building_blocks,
     point_forms,
 )
 from fermatmf.field import omega_field, special_roots
-from fermatmf.matrix import MatrixError, PolyMatrix, block, determinant, field_rref
+from fermatmf.matrix import MatrixError, PolyMatrix, determinant, field_rref
 from fermatmf.poly import Polynomial
 
 F = omega_field()
@@ -62,6 +58,12 @@ def _rref_span(polys):
     for k in range(len(pivots)):
         out.append(Polynomial(F, {e: c for e, c in zip(exps, reduced[k]) if c}))
     return tuple(out)
+
+
+def _linear_span(M):
+    """Reduced basis of the span of the linear parts of M's entries."""
+    return _rref_span([e for row in linear_reduction(M).matrix.rows()
+                       for e in row])
 
 
 # -- reduction ------------------------------------------------------------------
@@ -98,6 +100,26 @@ def test_verdict_witness_bookkeeping():
         EquivalenceVerdict("not_equivalent", witness=(PolyMatrix.identity(F, 2),))
     with pytest.raises(EquivError):
         EquivalenceVerdict("equivalent_with_witness")
+
+
+def test_phi_lambda_span_is_the_point_forms():
+    lam = SurfacePoint(F, (-1, 0, 0, 1))
+    fs = point_forms(lam)
+    assert _linear_span(_phi_lambda(lam)) == _rref_span([fs.p1, fs.p2, fs.p3])
+
+
+def test_phi_sigma_span_is_w1_w2():
+    fs = building_blocks(SIGMA, R)
+    assert _linear_span(_phi("phi_sigma")) == _rref_span([fs.w1, fs.w2])
+
+
+def test_spans_separate_distinct_lambda():
+    points = [SurfacePoint(F, (-1, 0, 0, 1)), SurfacePoint(F, (0, -1, 0, 1)),
+              SurfacePoint(F, (-W, 0, 0, 1)), SurfacePoint(F, (0, 0, -W, 1))]
+    spans = [_linear_span(_phi_lambda(p)) for p in points]
+    for i in range(len(spans)):
+        for j in range(i + 1, len(spans)):
+            assert spans[i] != spans[j]
 
 
 # -- scalar equivalence ---------------------------------------------------------
@@ -192,9 +214,12 @@ def test_the_sampling_fallback_still_finds_witnesses(monkeypatch):
 
 
 def test_the_sampling_fallback_reports_singular_spaces(monkeypatch):
+    # U*A = B*V forces the second column of V to vanish, so V is singular
+    # on the whole solution space and every draw fails
     monkeypatch.setattr(equiv, "_PARAM_LIMIT", 0)
-    M = PolyMatrix.identity(F, 3, scale=x(1))
-    verdict = skew_symmetrizer_exists(M)
+    A = PolyMatrix(F, [[x(1), 0], [0, 0]])
+    B = PolyMatrix(F, [[x(1), x(2)], [0, 0]])
+    verdict = scalar_equivalence(A, B)
     assert verdict.outcome == "inconclusive"
     assert verdict.method == "sampled_determinant"
     assert "64" in verdict.detail
@@ -212,91 +237,16 @@ def test_a_wide_solution_space_is_sampled_for_a_witness():
 
 
 def test_a_wide_singular_space_is_inconclusive():
-    # T*x1 is skew exactly when T is: 21 parameters, and every skew matrix
-    # of odd size is singular, so no draw can succeed
-    M = PolyMatrix.identity(F, 7, scale=x(1))
-    verdict = skew_symmetrizer_exists(M)
+    # B's x2 at [0, 4] forces the last column of V to vanish: 21 free
+    # parameters, past _PARAM_LIMIT, and no draw can give an invertible V
+    A = PolyMatrix(F, [[x(1) if i == j < 4 else 0 for j in range(5)]
+                       for i in range(5)])
+    B = A + PolyMatrix(F, [[x(2) if (i, j) == (0, 4) else 0
+                            for j in range(5)] for i in range(5)])
+    verdict = scalar_equivalence(A, B)
     assert verdict.outcome == "inconclusive"
     assert verdict.method == "sampled_determinant"
     assert "21-parameter" in verdict.detail
-
-
-# -- skew symmetrizers ----------------------------------------------------------
-
-def test_odd_scalar_multiple_of_identity_has_no_symmetrizer():
-    M = PolyMatrix.identity(F, 3, scale=x(1))
-    verdict = skew_symmetrizer_exists(M)
-    assert verdict.outcome == "not_equivalent"
-    assert verdict.method == "determinant_polynomial"
-
-
-def test_alpha_against_its_transpose_is_symmetrizable():
-    lam = CurvePoint.affine(F, 0, -1)
-    alpha = build_curve_alpha(lam).phi
-    Z = PolyMatrix.zeros(F, 3, 3)
-    D = block([[alpha, Z], [Z, alpha.transpose()]])
-    verdict = skew_symmetrizer_exists(D)
-    assert verdict.outcome == "equivalent_with_witness"
-    T, = verdict.witness
-    P = T * D
-    assert (P + P.transpose()).is_zero()
-    assert determinant(T)
-    # the block swap [[0, -I], [I, 0]] is one valid symmetrizer
-    I3 = PolyMatrix.identity(F, 3)
-    swap = block([[Z, -I3], [I3, Z]])
-    Q = swap * D
-    assert (Q + Q.transpose()).is_zero()
-
-
-def test_mismatched_alpha_blocks_are_not_symmetrizable():
-    lam = CurvePoint.affine(F, 0, -1)
-    mu = CurvePoint.affine(F, -W, 0)
-    assert mu != lam.dual()
-    Z = PolyMatrix.zeros(F, 3, 3)
-    D = block([[build_curve_alpha(lam).phi, Z],
-               [Z, build_curve_alpha(mu).phi]])
-    assert skew_symmetrizer_exists(D).outcome == "not_equivalent"
-
-
-def test_symmetrizer_modulus_reduces_first():
-    # modulo x1 the matrix is zero, so any invertible T works
-    M = PolyMatrix.identity(F, 2, scale=x(1))
-    verdict = skew_symmetrizer_exists(M, modulus=x(1))
-    assert verdict.outcome == "equivalent_with_witness"
-
-
-def test_symmetrizer_requires_square_input():
-    with pytest.raises(MatrixError):
-        skew_symmetrizer_exists(PolyMatrix(F, [[x(1), x(2)]]))
-
-
-# -- fitting spans --------------------------------------------------------------
-
-def test_phi_lambda_span_is_the_point_forms():
-    lam = SurfacePoint(F, (-1, 0, 0, 1))
-    phi = _phi_lambda(lam)
-    fs = point_forms(lam)
-    assert fitting_linear_span(phi) == _rref_span([fs.p1, fs.p2, fs.p3])
-
-
-def test_phi_sigma_span_is_w1_w2():
-    phi = _phi("phi_sigma")
-    fs = building_blocks(SIGMA, R)
-    assert fitting_linear_span(phi) == _rref_span([fs.w1, fs.w2])
-
-
-def test_zero_matrix_has_empty_span():
-    assert fitting_linear_span(PolyMatrix.zeros(F, 3, 3)) == ()
-
-
-def test_spans_separate_distinct_lambda():
-    points = [SurfacePoint(F, (-1, 0, 0, 1)), SurfacePoint(F, (0, -1, 0, 1)),
-              SurfacePoint(F, (-W, 0, 0, 1)), SurfacePoint(F, (0, 0, -W, 1))]
-    spans = [fitting_linear_span(_phi_lambda(p))
-             for p in points]
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            assert spans[i] != spans[j]
 
 
 # -- bounded-degree matrix equations --------------------------------------------

@@ -9,7 +9,6 @@ from fermatmf.matrix import (
     MatrixError,
     PolyMatrix,
     adjugate,
-    assemble_gorenstein_skew,
     block,
     determinant,
     field_nullspace,
@@ -134,25 +133,7 @@ def test_pfaffian_vector_annihilates():
         d2 = _random_skew(rng, 5)
         vec = pfaffian_vector(d2)
         row = PolyMatrix(F, [vec])
-        assert (row * d2).is_zero()
-
-
-def test_assemble_gorenstein_skew():
-    zero5 = PolyMatrix.zeros(F, 5)
-    v = [x(1), Polynomial.zero(F), Polynomial.zero(F),
-         Polynomial.zero(F), Polynomial.zero(F)]
-    M = assemble_gorenstein_skew(zero5, v)
-    assert M.nrows == M.ncols == 6
-    assert M[0, 5] == x(1)
-    assert M[5, 0] == -x(1)
-    assert M.is_skew()
-    rng = random.Random(113)
-    for _ in range(20):
-        d2 = _random_skew(rng, 5)
-        col = [_random_entry(rng) for _ in range(5)]
-        out = assemble_gorenstein_skew(d2, col)
-        assert out.is_skew()
-        assert out.submatrix(range(5), range(5)) == d2
+        assert row * d2 == PolyMatrix.zeros(F, 1, 5)
 
 
 def test_determinant_scaled_identity():

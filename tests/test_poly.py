@@ -146,6 +146,43 @@ def test_powers_are_bounded_before_they_expand(monkeypatch):
         assert "total degree 12" in str(err.value)
 
 
+def test_products_are_bounded_before_they_multiply(monkeypatch):
+    assert parse(F, "x1^6*x2^6") == x(1) ** 6 * x(2) ** 6
+    assert parse(F, "3*x1^12*w") == x(1) ** 12 * (3 * F.gen("w"))
+
+    # no product of the parse may pass degree 12, not even the last one
+    mul = Polynomial.__mul__
+
+    def bounded(p, q):
+        if isinstance(q, Polynomial):
+            assert max(map(sum, p.terms), default=0) + \
+                max(map(sum, q.terms), default=0) <= 12, "product expanded"
+        return mul(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", bounded)
+    for text, position in (("x1^12*x2", 6), ("x1^7 x2^6", 5),
+                           ("x1*-x1^12", 3),
+                           ("(x1+x2+x3+x4+1)^12*(x1+x2+x3+x4+1)^12", 19)):
+        with pytest.raises(ParseError) as err:
+            parse(F, text)
+        assert err.value.position == position
+        assert "product above total degree 12" in str(err.value)
+
+
+def test_nesting_is_bounded_before_the_recursion_limit():
+    assert parse(F, "(" * 100 + "x1" + ")" * 100) == x(1)
+    assert parse(F, "x2*" + "-" * 100 + "x1") == x(1) * x(2)
+    for text, position in (("(" * 101 + "x1" + ")" * 101, 100),
+                           ("x2*" + "-" * 101 + "x1", 103),
+                           # each group nests twice; the 101st level is
+                           # the parenthesis of the 51st group
+                           ("(x1*-" * 51 + "x2" + ")" * 51, 250)):
+        with pytest.raises(ParseError) as err:
+            parse(F, text)
+        assert err.value.position == position
+        assert "nesting deeper than 100" in str(err.value)
+
+
 def test_chained_powers_are_refused():
     # x1^2^3 reads as (x1^2)^3 or x1^(2^3): the grammar takes neither
     with pytest.raises(ParseError) as err:
@@ -304,14 +341,6 @@ def test_field_mismatch_rejected():
     G = sextic_field()
     with pytest.raises(TowerError):
         fermat_cubic(F) + fermat_cubic(G)
-
-
-def test_reduced_mod_cubic():
-    f = fermat_cubic(F)
-    assert (f * x(1) + x(2)).reduced_mod(f) == x(2)
-    r = (x(1) ** 3).reduced_mod(f)
-    assert r == -(x(2) ** 3) - x(3) ** 3 - x(4) ** 3
-    assert (x(1) ** 2).reduced_mod(f) == x(1) ** 2
 
 
 def _random_poly(rng, field=F):

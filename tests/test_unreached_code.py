@@ -1,0 +1,65 @@
+"""No library code that nothing runs: every module-level function and public
+method in the package is referenced in the package outside its own
+definition, or is kept by a named consumer below."""
+
+import ast
+import pathlib
+
+import fermatmf
+
+PACKAGE = pathlib.Path(fermatmf.__file__).parent
+
+# name -> the acceptance criterion, benchmark workload or ROADMAP item that
+# keeps a definition the package itself never calls
+_KEPT = {
+    "equiv.pairwise_distinctness":
+        "acceptance criterion 04; benchmark workload sweep",
+    "equiv.matrix_equation_solvable":
+        "ROADMAP item 2 folds it into the equivalence engine",
+    "families.five_points_example": "acceptance criterion 09",
+    "matrix.pfaffian_vector": "acceptance criterion 09",
+    "matrix.verify_matrix_factorization":
+        "the literal product phi*psi that tier-1 checks every catalog "
+        "listing against, independent of the slot-row certificates",
+    "moduli6.equation_values":
+        "acceptance criterion 06; benchmark workload moduli",
+    "moduli6.chart_transport": "acceptance criterion 08",
+    "moduli6.pfaffian_sign_flip": "acceptance criterion 10",
+    "moduli6.decompose_if_gamma_zero": "acceptance criterion 10",
+    "poly.Polynomial.eval": "ROADMAP item 7",
+    "poly.Polynomial.is_homogeneous": "ROADMAP items 2 and 7",
+}
+
+
+def _definitions(module, tree):
+    """(qualified name, node) of each module-level function and each
+    public method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield "%s.%s" % (module, node.name), node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield "%s.%s.%s" % (module, node.name, item.name), item
+
+
+def test_every_definition_is_referenced_or_kept():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    # name -> the ids of the Name and attribute nodes that say it
+    references = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(id(node))
+    unreferenced = set()
+    for module, tree in trees.items():
+        for qualname, node in _definitions(module, tree):
+            own = {id(n) for n in ast.walk(node)}
+            if all(r in own for r in references.get(node.name, ())):
+                unreferenced.add(qualname)
+    # a kept name that the package now calls should leave the table too
+    assert sorted(unreferenced) == sorted(_KEPT)
