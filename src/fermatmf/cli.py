@@ -20,7 +20,7 @@ import os
 import sys
 
 from .field import FermatmfError, omega_field, rationals, sextic_field
-from .poly import ParseError, parse_scalar
+from .poly import MAX_DIGITS, ParseError, parse_scalar
 from .matrix import determinant, format_one_line, parse_matrix, pfaffian
 from .families import CurvePoint, FamilyError, FamilyId, GammaBlock, build_six_gen
 from .equiv import enumerate_classes, linear_reduction, scalar_equivalence
@@ -110,12 +110,27 @@ def _parse_values(field, text, count, what):
         raise _UsageError("%s: %s" % (what, err))
 
 
+def _ascii_int(text, signed):
+    """The int that text spells in at most MAX_DIGITS ASCII digits, after
+    one '-' if signed, or None: int() also reads '1_0', ' 1', '+1' and
+    non-ASCII digits such as '١'."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if (digits.isascii() and digits.isdigit()
+            and len(digits) <= MAX_DIGITS):
+        return int(text)
+    return None
+
+
+def _seed(text):
+    seed = _ascii_int(text, signed=True)
+    if seed is None:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    return seed
+
+
 def _budget(text):
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = None
-    if budget is None or budget < 0:
+    budget = _ascii_int(text, signed=False)
+    if budget is None:
         raise argparse.ArgumentTypeError("expected an integer >= 0, got %r"
                                          % text)
     return budget
@@ -287,7 +302,7 @@ def _build_parser():
     p = msub.add_parser("sample", parents=[common],
                         help="search for a certified moduli point")
     p.add_argument("--lambda", dest="lam", metavar="A,B")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--budget", type=_budget, default=100)
     p.set_defaults(handler=_cmd_moduli_sample)
 

@@ -26,6 +26,7 @@ than silently mis-computing.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -400,6 +401,10 @@ class FieldElement:
     def is_rational(self):
         return not any(self._nums[1:])
 
+    def bit_size(self):
+        """The bit length of the largest numerator or the denominator."""
+        return max(self._den.bit_length(), *map(int.bit_length, self._nums))
+
     def __str__(self):
         # integers print as their Fractions do, so only a denominator
         # other than 1 needs the Fractions
@@ -442,7 +447,7 @@ def _make(field, nums, den):
 def _fmt_value(field, v, k):
     """Render in the literal grammar: rationals, generator names, *, +, -."""
     if k == 0:
-        return str(v[0])
+        return _decimal(v[0])
     name = field.names[k - 1]
     degree = field._degrees[k - 1]
     stride = len(v) // degree
@@ -453,6 +458,17 @@ def _fmt_value(field, v, k):
             terms.append((_fmt_value(field, c, k - 1),
                           "*".join([name] * power)))
     return format_sum(terms)
+
+
+def _decimal(q):
+    """str(q) for an int or Fraction q of any length.  str stops at the
+    interpreter's int digit limit where it has one; Decimal does not."""
+    try:
+        return str(q)
+    except ValueError:
+        if q.denominator != 1:
+            return _decimal(q.numerator) + "/" + _decimal(q.denominator)
+        return str(Decimal(q.numerator))
 
 
 def format_sum(terms):

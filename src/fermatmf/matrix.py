@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .field import FermatmfError, FieldElement, TowerError
-from .poly import MAX_POWER_DEGREE, NVARS, Polynomial, parse
+from .poly import MAX_POWER_DEGREE, NVARS, Polynomial, TermBudget, parse
 
 # the largest n for which determinant and pfaffian expand an n x n matrix;
 # their memo tables hold 2^n entries
@@ -600,12 +600,15 @@ def field_nullspace(rows, field, ncols):
 # -- text format ---------------------------------------------------------------
 
 def parse_matrix(field, text):
-    """Rows separated by ';', entries by ',', entries in the polynomial grammar."""
+    """Rows separated by ';', entries by ',', entries in the polynomial
+    grammar; the cells share one TermBudget."""
+    budget = TermBudget()
     rows = []
     for row_text in text.split(";"):
         if not row_text.strip():
             continue
-        rows.append([parse(field, cell) for cell in row_text.split(",")])
+        rows.append([parse(field, cell, budget)
+                     for cell in row_text.split(",")])
     if not rows:
         raise MatrixError("no rows in matrix text")
     return PolyMatrix(field, rows)

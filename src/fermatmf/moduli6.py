@@ -3,14 +3,14 @@
 Expanding the Pfaffian of the pencil over a curve point [a:b:1] and matching
 it against x1^3 + x2^3 + x3^3 + x4^3 yields ten equations in the fifteen
 Gamma parameters.  Six are linear in the Gamma2 entries and admit printed
-closed-form solutions; the other four are the residual system.  This module
-evaluates the equations exactly, each caller only the system it reads: the
-six linear ones, three residuals written as one affine system in the Gamma3
-entries and solved from one evaluation, or the four residuals of the
-re-check.  It solves the linear part in both branches, samples certified
-points deterministically, applies the three group actions, carries the
-pencil between the two curve charts, and splits the pencil into 3x3 blocks
-when both skew corners vanish.
+closed-form solutions; the other four are the residuals, affine in the
+Gamma3 entries.  This module evaluates the equations exactly, each caller
+only the system it reads: the six linear ones, or the four residuals as one
+affine system in Gamma3, which the sampler solves from one evaluation.  It
+solves the linear part in both branches, samples certified points
+deterministically, applies the three group actions, carries the pencil
+between the two curve charts, and splits the pencil into 3x3 blocks when
+both skew corners vanish.
 
 Certification is the exact identity Pf(Lambda) = f on the skew pencil; since
 Pf(M)^2 = det(M) for every skew M, it implies det(Lambda) = f^2.  The
@@ -58,11 +58,12 @@ def _affine_field(lam):
 # -- the ten coefficient equations -----------------------------------------------
 #
 # Each equation is written once, in the system its callers read: the six
-# Gamma2-linear ones (i1-i5, i8), the three residuals (i6, i7, i9) as the
-# affine system in Gamma3 that the solve reads, and the last residual i10,
-# which is only re-checked.
+# Gamma2-linear ones (i1-i5, i8), and the four residuals (i6, i7, i9, i10)
+# as one affine system in Gamma3, which the sample solve reads.
 
 def _parameters(lam, gamma):
+    """(a, b, e, gamma.values), once lam is in the chart [a:b:1] and gamma
+    lives over its field."""
     field = _affine_field(lam)
     if gamma.field is not field:
         raise ModuliError("gamma and point live over different fields")
@@ -87,12 +88,14 @@ def _linear_values(lam, gamma):
 
 
 def _gamma3_system(lam, gamma):
-    """The residuals i6, i7, i9 as (row, constant) pairs, affine in Gamma3.
+    """The residuals i6, i7, i9 and i10 as (row, constant) pairs, affine in
+    Gamma3.
 
     Each row holds the coefficients of (a4, a5, a6), each constant the
-    Gamma3-free terms; gamma's own Gamma3 and the curve point are not read.
+    Gamma3-free terms; gamma's own Gamma3 is not read.  The pairs of i6, i7
+    and i9 read Gamma1 and Gamma2 alone, that of i10 the curve point too.
     """
-    _, _, _, (a1, a2, a3, _, _, _, _, _, _, a10, a11, a12, a13, a14,
+    a, b, e, (a1, a2, a3, _, _, _, _, _, _, a10, a11, a12, a13, a14,
               a15) = _parameters(lam, gamma)
     i6 = ((a3, -a2, a1),
           a11 * a11 + a10 * a12 - a11 * a13 + a13 * a13 - a10 * a14
@@ -107,39 +110,36 @@ def _gamma3_system(lam, gamma):
           a13 ** 3 + a10 * a11 * a14 + a12 * a12 * a14 - 2 * a10 * a13 * a14
           + a12 * a14 * a14 + a11 * a14 * a15 - 2 * a13 * a14 * a15
           - a15 ** 3 - 1)
-    return (i6, i7, i9)
+    i10 = ((2 * e * a2,
+            -2 * e * a1 + 2 * b * a2 - 2 * a * a3 + 4 * a3,
+            2 * b * a1 - 4 * a * a2 + 2 * a2),
+           -2 * b * a11 * a11 + 2 * a * a11 * a12 + 2 * e * a12 * a12
+           + 5 * b * a11 * a13 - 4 * a * a12 * a13 - 2 * b * a13 * a13
+           - 2 * b * a10 * a14 - a * a11 * a14 + 2 * a * a13 * a14
+           - 2 * e * a14 * a14 + 3 * e * a11 * a15 - 6 * e * a13 * a15
+           - 2 * b * a14 * a15 + 6 * a * a15 * a15 - a11 * a12
+           + 2 * a12 * a13 + 2 * a11 * a14 - 4 * a13 * a14 - 6 * a15 * a15)
+    return (i6, i7, i9, i10)
 
 
-def _gamma3_residuals(lam, gamma):
-    """The residuals i6, i7 and i9: _gamma3_system at gamma's Gamma3."""
-    a4, a5, a6 = gamma.values[3:6]
-    return tuple(r4 * a4 + r5 * a5 + r6 * a6 + constant
-                 for (r4, r5, r6), constant in _gamma3_system(lam, gamma))
-
-
-def _last_residual(lam, gamma):
-    """The residual i10: no solve reads it, only the exact re-checks do."""
-    a, b, e, (a1, a2, a3, a4, a5, a6, _, _, _, a10, a11, a12, a13, a14,
-              a15) = _parameters(lam, gamma)
-    return (2 * e * a2 * a4 - 2 * e * a1 * a5 + 2 * b * a2 * a5
-            - 2 * a * a3 * a5 + 2 * b * a1 * a6 - 4 * a * a2 * a6
-            - 2 * b * a11 * a11 + 2 * a * a11 * a12 + 2 * e * a12 * a12
-            + 5 * b * a11 * a13 - 4 * a * a12 * a13 - 2 * b * a13 * a13
-            - 2 * b * a10 * a14 - a * a11 * a14 + 2 * a * a13 * a14
-            - 2 * e * a14 * a14 + 3 * e * a11 * a15 - 6 * e * a13 * a15
-            - 2 * b * a14 * a15 + 6 * a * a15 * a15 + 4 * a3 * a5
-            + 2 * a2 * a6 - a11 * a12 + 2 * a12 * a13 + 2 * a11 * a14
-            - 4 * a13 * a14 - 6 * a15 * a15)
+def _affine_value(row, constant, gamma3):
+    """row . gamma3 + constant: one residual of _gamma3_system at gamma3."""
+    r4, r5, r6 = row
+    a4, a5, a6 = gamma3
+    return r4 * a4 + r5 * a5 + r6 * a6 + constant
 
 
 def residual_equations(lam, gamma):
-    """The four residual equation values (i6, i7, i9, i10) at (lam, gamma).
+    """The four residual equation values (i6, i7, i9, i10) at (lam, gamma):
+    _gamma3_system at gamma's own Gamma3.
 
     Together with the six linear equations these vanish exactly when
     Pf(Lambda) = f.  At gamma = 0 the last-but-one value is -1: the x4^3
     slot of the expansion never vanishes without Gamma2.
     """
-    return _gamma3_residuals(lam, gamma) + (_last_residual(lam, gamma),)
+    gamma3 = gamma.values[3:6]
+    return tuple(_affine_value(row, constant, gamma3)
+                 for row, constant in _gamma3_system(lam, gamma))
 
 
 def equation_values(lam, gamma):
@@ -229,12 +229,9 @@ class ModuliPoint:
     __slots__ = ("lam", "gamma", "certified")
 
     def __init__(self, lam, gamma):
-        field = _affine_field(lam)
-        if gamma.field is not field:
-            raise ModuliError("gamma and point live over different fields")
-        mat = build_six_gen(lam, gamma)
-        f = fermat_cubic(field)
-        certified = pfaffian(mat) == f
+        _parameters(lam, gamma)
+        certified = pfaffian(build_six_gen(lam, gamma)) == fermat_cubic(
+            lam.field)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "certified", certified)
@@ -319,16 +316,18 @@ def _structured_gamma2(lam):
 
 
 def _solve_gamma3(lam, corner, gamma2):
-    """A particular (a4, a5, a6) killing the residuals i6, i7, i9, or None.
+    """A particular (a4, a5, a6) killing all four residuals, or None.
 
     With everything else fixed the residual system is affine-linear in the
     Gamma3 entries, so _gamma3_system is evaluated once, on the block with
-    a4 = a5 = a6 = 0, and its rows [row | -constant] are row-reduced; free
-    unknowns are pinned to zero, and the caller re-checks all four
-    residuals on the assembled block.
+    a4 = a5 = a6 = 0.  The rows [row | -constant] of i6, i7 and i9 are
+    row-reduced exactly and their free unknowns pinned to zero; that
+    particular solution is returned only if the row of i10 vanishes at it
+    too.
     """
     field = lam.field
-    system = _gamma3_system(lam, GammaBlock(field, corner + (0, 0, 0) + gamma2))
+    *system, last = _gamma3_system(
+        lam, GammaBlock(field, corner + (0, 0, 0) + gamma2))
     rows = [list(row) + [-constant] for row, constant in system]
     reduced, pivots = field_rref(rows, field, ncols=4)
     if 3 in pivots:
@@ -336,6 +335,8 @@ def _solve_gamma3(lam, corner, gamma2):
     solution = [field(0)] * 3
     for row, pivot in zip(reduced, pivots):
         solution[pivot] = row[3]
+    if _affine_value(*last, solution):
+        return None
     return tuple(solution)
 
 
@@ -346,9 +347,9 @@ def sample_moduli_point(lam, seed, budget):
     Odd attempts draw three free values as well and take the Gamma2 block
     from gamma2_solve; even attempts cycle through the structured catalog
     blocks, which certify whenever the residual solve goes through.  Each
-    candidate solves the affine system of i6, i7, i9 for (a4, a5, a6) from
-    one evaluation, re-checks all four residuals exactly, and is certified
-    by Pf = f before being returned.  Exhausting the budget returns None.
+    candidate solves the four residuals for (a4, a5, a6) from one
+    evaluation of their affine system, exactly, and is certified by Pf = f
+    before being returned.  Exhausting the budget returns None.
     """
     field = _affine_field(lam)
     rng = random.Random(seed)
@@ -366,10 +367,7 @@ def sample_moduli_point(lam, seed, budget):
         gamma3 = _solve_gamma3(lam, corner, gamma2)
         if gamma3 is None:
             continue
-        gamma = GammaBlock(field, corner + gamma3 + gamma2)
-        if any(residual_equations(lam, gamma)):
-            continue
-        point = ModuliPoint(lam, gamma)
+        point = ModuliPoint(lam, GammaBlock(field, corner + gamma3 + gamma2))
         if point.certified:
             return point
     return None

@@ -325,6 +325,16 @@ MAX_POWER_DEGREE = 12
 # bound keeps a deep input a ParseError, far from the interpreter's
 # recursion limit.
 MAX_NESTING = 100
+# A number literal has at most this many digits, counted before int() reads
+# it, and a product or power whose coefficients could pass it is refused
+# before it multiplies, so the limit does not depend on the interpreter's.
+MAX_DIGITS = 4300
+# the size, in _size's terms, of the largest number of MAX_DIGITS digits
+_MAX_SIZE = (10 ** MAX_DIGITS).bit_length() - 1
+# The products and powers of one input text, a matrix's cells together,
+# create at most this many terms, so the parse time of a long input is
+# bounded as well as that of each product.
+MAX_TERMS = 10000
 
 
 def _is_digit(ch):
@@ -332,11 +342,28 @@ def _is_digit(ch):
     return "0" <= ch <= "9"
 
 
+class TermBudget:
+    """The terms that the products and powers of one input may still create;
+    parse_matrix shares one among a matrix's cells."""
+
+    def __init__(self):
+        self.left = MAX_TERMS
+
+    def spend(self, p, position):
+        """Charge the terms of a product or power p; return p."""
+        self.left -= len(p.terms)
+        if self.left < 0:
+            raise ParseError("products and powers above %d terms" % MAX_TERMS,
+                             position)
+        return p
+
+
 class _Tokens:
-    def __init__(self, text):
+    def __init__(self, text, budget):
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.budget = budget
 
     def nest(self):
         """Enter one nesting level; the caller leaves it with depth -= 1."""
@@ -364,10 +391,9 @@ class _Tokens:
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # past the interpreter's digit limit
-            raise ParseError("number too long", start) from None
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError("number too long", start)
+        return int(self.text[start:self.pos])
 
     def take_name(self):
         # a name is letters followed by digits, so "x1x2" splits into two
@@ -381,7 +407,7 @@ class _Tokens:
         return self.text[start:self.pos], start
 
 
-def parse(field, text):
+def parse(field, text, budget=None):
     """Parse the polynomial grammar over ``field``.
 
     Variables are x1..x4; ``^`` takes an integer exponent of at most
@@ -389,9 +415,13 @@ def parse(field, text):
     that too, and powers do not chain (``(x1^2)^3``, not ``x1^2^3``); ``*``
     may be omitted between variable/generator/parenthesized factors;
     parentheses and signs inside a product nest at most ``MAX_NESTING``
-    deep; coefficients are rationals ``p/q`` and the field's generator names.
+    deep; coefficients are rationals ``p/q`` and the field's generator names,
+    numbers have at most ``MAX_DIGITS`` digits, and so do the coefficients of
+    a product or power, as far as bit lengths tell before it multiplies.
+    The products and powers draw their terms from ``budget``, a fresh
+    ``TermBudget`` unless one is shared among the texts of one input.
     """
-    toks = _Tokens(text)
+    toks = _Tokens(text, TermBudget() if budget is None else budget)
     p = _parse_sum(field, toks)
     if toks.peek() is not None:
         toks.error("unexpected %r" % toks.peek())
@@ -431,6 +461,12 @@ def _degree(p):
     return max(map(sum, p.terms), default=0)
 
 
+def _size(p):
+    """floor(log2) of p's largest numerator or denominator, 0 for +/-1: a
+    product of parts of sizes s and t has size s + t or s + t + 1."""
+    return max((c.bit_size() for c in p.terms.values()), default=1) - 1
+
+
 def _parse_product(field, toks):
     p = _parse_power(field, toks)
     while True:
@@ -445,7 +481,9 @@ def _parse_product(field, toks):
         if _degree(p) + _degree(q) > MAX_POWER_DEGREE:
             raise ParseError("product above total degree %d"
                              % MAX_POWER_DEGREE, start)
-        p = p * q
+        if _size(p) + _size(q) > _MAX_SIZE:
+            raise ParseError("product above %d digits" % MAX_DIGITS, start)
+        p = toks.budget.spend(p * q, start)
 
 
 def _parse_power(field, toks):
@@ -460,9 +498,11 @@ def _parse_power(field, toks):
     if n > MAX_POWER_DEGREE or degree > MAX_POWER_DEGREE:
         raise ParseError("power above exponent or total degree %d"
                          % MAX_POWER_DEGREE, start)
+    if n * _size(p) > _MAX_SIZE:
+        raise ParseError("power above %d digits" % MAX_DIGITS, start)
     if toks.peek() == "^":
         toks.error("chained powers need parentheses")
-    return p ** n
+    return toks.budget.spend(p ** n, start)
 
 
 def _parse_atom(field, toks):

@@ -479,6 +479,8 @@ def _equiv_left(left):
      "nesting deeper than 100 (at position 103)"),
     (["det"], "(x1+x2+x3+x4+1)^12*(x1+x2+x3+x4+1)^12",
      "product above total degree 12 (at position 19)"),
+    (["det"], "+".join(["(x1+x2+x3+x4+1)^12"] * 20),
+     "products and powers above 10000 terms (at position 111)"),
 ], ids=["verify", "enumerate", "equiv", "moduli_solve", "moduli_sample",
         "moduli_act", "det", "pfaffian", "equiv_bare_pencil",
         "missing_lambda", "free_count", "coeffs_count", "k_malformed",
@@ -487,7 +489,7 @@ def _equiv_left(left):
         "curve_alpha_needs_curve_point", "bare_key", "duplicate_key",
         "normalized_value", "lam_coordinate_count", "mubar_unnormalized",
         "moduli_act_not_6x6", "det_deep_parentheses", "det_deep_signs",
-        "det_product_of_powers"])
+        "det_product_of_powers", "det_long_sum_of_powers"])
 def test_malformed_input_is_one_error_line(capsys, monkeypatch, tmp_path,
                                            argv, stdin, message):
     (tmp_path / "not_utf8.txt").write_bytes(b"\xff")
@@ -497,6 +499,53 @@ def test_malformed_input_is_one_error_line(capsys, monkeypatch, tmp_path,
     assert code == 2
     assert not out
     assert err == "error: %s\n" % message.replace("{tmp}", str(tmp_path))
+
+
+_NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1 + " + "9" * 5000, "number too long (at position 5)"),
+    (_NINES + "*" + _NINES, "product above 4300 digits (at position 3001)"),
+    ("(" + "9" * 400 + ")^12", "power above 4300 digits (at position 403)"),
+], ids=["overlong_number", "long_product", "long_power"])
+def test_the_digit_limits_are_the_programs_own(capsys, monkeypatch,
+                                               int_digit_limit, text,
+                                               message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, ["det"]) == (2, "", "error: %s\n" % message)
+
+
+def test_a_long_result_prints_exactly(capsys, monkeypatch, int_digit_limit):
+    # (10^3000 - 1)^2 has 6000 digits, past the interpreter's default limit
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("%s, 0; 0, %s" % (_NINES, _NINES)))
+    code, out, err = run(capsys, ["det"])
+    assert code == 0 and not err
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"
+    assert "  value: %s" % square in out.splitlines()
+
+
+@pytest.mark.parametrize("knob", [
+    ["--seed", "1_0"], ["--seed", "\u0661"], ["--budget", "\u0662"],
+    ["--seed", "+1"], ["--seed", " 1"], ["--budget", "1_0"],
+    ["--seed", "9" * 4301],
+], ids=["seed_underscore", "seed_arabic_indic", "budget_arabic_indic",
+        "seed_plus", "seed_space", "budget_underscore", "seed_overlong"])
+def test_seed_and_budget_take_ascii_digits_only(capsys, int_digit_limit,
+                                                knob):
+    code, out, err = run(capsys, ["moduli", "sample", "--lambda", "0,-1",
+                                  "--budget", "0"] + knob)
+    assert code == 2 and not out
+    assert "error: argument %s: expected an integer" % knob[0] in err
+
+
+def test_a_seed_may_be_negative_or_long(capsys, int_digit_limit):
+    for seed in ("-3", "9" * 4300):
+        code, data = run_json(capsys, ["moduli", "sample", "--lambda", "0,-1",
+                                       "--seed", seed, "--budget", "0"])
+        assert code == 0
+        assert data["checks"][0]["seed"] == int(seed)
 
 
 def _bidiagonal(n):

@@ -15,7 +15,8 @@ from fermatmf.families import (
     build_curve_alpha,
     build_six_gen,
 )
-from fermatmf.matrix import PolyMatrix, block, determinant, pfaffian
+from fermatmf.matrix import (PolyMatrix, block, determinant, field_rref,
+                             pfaffian)
 from fermatmf.poly import fermat_cubic
 from fermatmf.moduli6 import (
     ModuliError,
@@ -215,33 +216,37 @@ def test_the_gamma3_system_matches_a_four_point_oracle():
     # residuals(base); it does not depend on (a4, a5, a6)
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for lam, gamma in _seeded_cases():
-        base = moduli6._gamma3_residuals(lam, _with_gamma3(gamma, (0, 0, 0)))
-        at_units = [moduli6._gamma3_residuals(lam, _with_gamma3(gamma, u))
+        base = residual_equations(lam, _with_gamma3(gamma, (0, 0, 0)))
+        at_units = [residual_equations(lam, _with_gamma3(gamma, u))
                     for u in units]
         system = moduli6._gamma3_system(lam, gamma)
-        assert len(system) == 3
+        assert len(system) == 4
         for k, (row, constant) in enumerate(system):
             assert tuple(row) == tuple(r[k] - base[k] for r in at_units)
             assert constant == base[k]
 
 
 def test_a_solved_gamma3_kills_the_three_residuals():
+    # and the fourth, i10: the solve goes through on the structured Gamma2
+    # blocks at [0:-1:1] and [-w:0:1] under seeded corners
+    rng = random.Random(17)
     solved = 0
-    for lam, gamma in _seeded_cases():
-        corner, gamma2 = gamma.values[:3], gamma.values[6:]
-        gamma3 = moduli6._solve_gamma3(lam, corner, gamma2)
-        if gamma3 is None:
-            continue
-        solved += 1
-        assert not any(moduli6._gamma3_residuals(
-            lam, _with_gamma3(gamma, gamma3)))
+    for lam in (LAM, CurvePoint.affine(F, -W, 0)):
+        for gamma2 in moduli6._structured_gamma2(lam):
+            corner = tuple(F(rng.randint(-4, 4)) for _ in range(3))
+            gamma3 = moduli6._solve_gamma3(lam, corner, gamma2)
+            if gamma3 is None:
+                continue
+            solved += 1
+            gamma = GammaBlock(F, corner + gamma3 + gamma2)
+            assert not any(residual_equations(lam, gamma))
     assert solved
 
 
 def test_a_sample_attempt_evaluates_the_gamma3_system_once(monkeypatch):
-    # count evaluations of the residual system made inside _solve_gamma3;
-    # the re-check of sample_moduli_point is outside it
-    counts = {"solves": 0, "evaluations": 0}
+    # every evaluation of the residual system happens inside _solve_gamma3,
+    # once per attempt, and the sampler re-checks no residual
+    counts = {"solves": 0, "evaluations": 0, "outside": 0, "residuals": 0}
     inside = []
 
     def counted_solve(solve):
@@ -254,21 +259,62 @@ def test_a_sample_attempt_evaluates_the_gamma3_system_once(monkeypatch):
                 inside.pop()
         return wrapper
 
-    def counted(evaluate):
+    def counted_system(evaluate):
         def wrapper(*args):
-            if inside:
-                counts["evaluations"] += 1
+            counts["evaluations" if inside else "outside"] += 1
             return evaluate(*args)
         return wrapper
+
+    def counted_residuals(*args):
+        counts["residuals"] += 1
+        return residual_equations(*args)
 
     monkeypatch.setattr(moduli6, "_solve_gamma3",
                         counted_solve(moduli6._solve_gamma3))
     monkeypatch.setattr(moduli6, "_gamma3_system",
-                        counted(moduli6._gamma3_system))
-    monkeypatch.setattr(moduli6, "_gamma3_residuals",
-                        counted(moduli6._gamma3_residuals))
-    sample_moduli_point(LAM, 1, 1)
-    assert counts == {"solves": 1, "evaluations": 1}
+                        counted_system(moduli6._gamma3_system))
+    monkeypatch.setattr(moduli6, "residual_equations", counted_residuals)
+    point = sample_moduli_point(LAM, 1, 60)
+    assert point == sampled_point() and point.certified
+    assert counts["solves"] >= 1
+    assert counts["evaluations"] == counts["solves"]
+    assert counts["outside"] == counts["residuals"] == 0
+
+
+def test_at_the_sextic_point_only_i10_stops_the_attempts(monkeypatch):
+    # ROADMAP item 13's diagnosis, for these 50 attempts only: at [1:g:1]
+    # over the sextic tower, seed 1 with budget 50 finds no point; the rows
+    # of i6, i7 and i9 are consistent in every attempt but the 38th, and in
+    # each consistent one i10 does not vanish at the solution that pins
+    # their free unknowns to zero
+    G = sextic_field()
+    lam = CurvePoint.affine(G, 1, G.gen("g"))
+    blocks = []
+    evaluate = moduli6._gamma3_system
+
+    def recorded(lam, gamma):
+        blocks.append(gamma)
+        return evaluate(lam, gamma)
+
+    monkeypatch.setattr(moduli6, "_gamma3_system", recorded)
+    assert sample_moduli_point(lam, 1, 50) is None
+    monkeypatch.undo()
+    assert len(blocks) == 50
+    inconsistent = []
+    for attempt, gamma in enumerate(blocks, 1):
+        *rows, _ = evaluate(lam, gamma)
+        reduced, pivots = field_rref(
+            [list(row) + [-constant] for row, constant in rows], G, ncols=4)
+        if 3 in pivots:
+            inconsistent.append(attempt)
+            continue
+        gamma3 = [G(0)] * 3
+        for row, pivot in zip(reduced, pivots):
+            gamma3[pivot] = row[3]
+        i6, i7, i9, i10 = residual_equations(lam, _with_gamma3(gamma, gamma3))
+        assert not (i6 or i7 or i9)
+        assert i10
+    assert inconsistent == [38]
 
 
 # -- certified points and sampling -----------------------------------------------

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import fermatmf.poly as poly
 from fermatmf.field import FieldElement, TowerError, omega_field, sextic_field
-from fermatmf.matrix import expand_determinant
+from fermatmf.matrix import expand_determinant, parse_matrix
 from fermatmf.poly import (
     LINEAR_EXPS,
     ParseError,
@@ -167,6 +168,51 @@ def test_products_are_bounded_before_they_multiply(monkeypatch):
             parse(F, text)
         assert err.value.position == position
         assert "product above total degree 12" in str(err.value)
+
+
+def test_numbers_are_bounded_by_their_digit_count(int_digit_limit):
+    # the parser counts the digits itself, so the bound holds with the
+    # interpreter's own limit removed too
+    assert parse(F, "9" * 4300) == int("9" * 4300)
+    for text, position in (("x1 + " + "9" * 5000, 5), ("9" * 4301, 0),
+                           ("1/" + "7" * 4301, 2)):
+        with pytest.raises(ParseError) as err:
+            parse(F, text)
+        assert err.value.position == position
+        assert "number too long" in str(err.value)
+
+
+def test_products_and_powers_are_bounded_in_digits(int_digit_limit):
+    nines = "9" * 4300
+    assert parse(F, "x1*" + nines) == x(1) * int(nines)
+    assert parse(F, "(" + "9" * 358 + ")^12") == int("9" * 358) ** 12
+    sevens = "(1/" + "7" * 3000 + ")"
+    for text, position, message in (
+            ("9" * 3000 + "*" + "9" * 3000, 3001, "product above 4300 digits"),
+            (sevens + "*" + sevens, 3005, "product above 4300 digits"),
+            ("(" + "9" * 400 + ")^12", 403, "power above 4300 digits"),
+            # each power is refused before it multiplies, so the nesting
+            # stops at 2^(12^4) instead of computing 2^(12^8)
+            ("(" * 8 + "2" + ")^12" * 8, 23, "power above 4300 digits")):
+        with pytest.raises(ParseError) as err:
+            parse(F, text)
+        assert err.value.position == position
+        assert message in str(err.value)
+
+
+def test_one_term_budget_serves_every_cell_of_a_matrix(monkeypatch):
+    monkeypatch.setattr(poly, "MAX_TERMS", 12)
+    cube = "(x1+x2)^3"  # four terms
+    assert parse(F, "+".join([cube] * 3)) == 3 * (x(1) + x(2)) ** 3
+    with pytest.raises(ParseError) as err:
+        parse(F, "+".join([cube] * 4))
+    assert err.value.position == 38
+    assert "products and powers above 12 terms" in str(err.value)
+    # each cell alone is within the budget, the four cells are not
+    assert parse_matrix(F, ", ".join([cube] * 3)).ncols == 3
+    with pytest.raises(ParseError) as err:
+        parse_matrix(F, "%s, %s; %s, %s" % ((cube,) * 4))
+    assert "products and powers above 12 terms" in str(err.value)
 
 
 def test_nesting_is_bounded_before_the_recursion_limit():
