@@ -195,10 +195,11 @@ def _cmd_equiv(args, field):
         lmat = linear_reduction(lmat)
         rmat = linear_reduction(rmat)
     verdict = scalar_equivalence(lmat, rmat)
-    data = verdict.to_json(pair=(str(left), str(right)))
+    witness = None
+    if verdict.witness is not None:
+        witness = [format_one_line(W) for W in verdict.witness]
     report.add("%s vs %s" % (left, right), "scalar_equivalence",
-               verdict.outcome, method=data["method"],
-               witness=data.get("witness"),
+               verdict.outcome, method=verdict.method, witness=witness,
                reduced=bool(args.reduced))
     return report
 
@@ -210,7 +211,7 @@ def _cmd_moduli_solve(args, field):
     gamma = gamma2_solve(lam, free)
     rank, nullity = linear_system_nullity(lam)
     report.add(str(lam), "gamma2_solve", "pass",
-               gamma=[str(gamma.a(i)) for i in range(1, 16)],
+               gamma=[str(v) for v in gamma.values],
                rank=rank, nullity=nullity)
     return report
 
@@ -223,9 +224,9 @@ def _cmd_moduli_sample(args, field):
         report.add(str(lam), "sample", "inconclusive", seed=args.seed,
                    detail="no certified point within budget %d" % args.budget)
     else:
-        data = point.to_json()
         report.add(str(lam), "sample", "pass", seed=args.seed,
-                   gamma=data["gamma"], certified=data["certified"])
+                   gamma=[str(v) for v in point.gamma.values],
+                   certified=point.certified)
     return report
 
 

@@ -1,12 +1,18 @@
-"""Equivalence tests for presentation matrices.
+"""Constant equivalence of presentation matrices.
 
 A cokernel only sees its presentation matrix up to multiplication by
-invertible matrices on either side, and multiplication by constants maps
-linear parts to linear parts.  The tools here exploit the sound
-direction of that observation: when even the mod-m^2 reductions admit no
-constant intertwiner, the original modules differ.  Verdicts are
-three-valued on purpose -- "inconclusive" is an honest answer and is
-never upgraded to a claim.
+invertible matrices on either side, so matrices that are equivalent by
+invertible constant U, V present isomorphic modules.
+``scalar_equivalence`` decides that for two matrices.  Multiplication by
+constants maps linear parts to linear parts, and ``linear_reduction``
+keeps just those: when even the mod-m^2 reductions admit no constant
+intertwiner, the original modules differ.  ``pairwise_distinctness``
+sweeps a list of matrices this way, splitting most pairs by invariants of
+their reductions first.  Verdicts are three-valued on purpose --
+"inconclusive" is an honest answer and is never upgraded to a claim.
+Verdicts and sweeps are plain records; the command line alone spells
+them as reports.  Every witness is re-checked exactly, and a failed
+internal check raises AssertionError: it is a fault here, not bad input.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import random
 from .families import FamilyId, SigmaPerm
 from .field import FermatmfError, omega_field, special_roots
 from .matrix import (MatrixError, PolyMatrix, determinant, expand_determinant,
-                     field_nullspace, field_rref, format_one_line, minors)
+                     field_nullspace, field_rref, minors)
 from .poly import LINEAR_EXPS, Polynomial, grlex_key
 
 # Solution spaces wider than this skip the symbolic determinant and fall
@@ -36,48 +42,6 @@ class EquivError(FermatmfError):
 
 
 # -- domain types ---------------------------------------------------------------
-
-class ReducedMatrix:
-    """A matrix of linear forms: what is left of a presentation matrix
-    after killing every term of degree two and higher."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        if not isinstance(matrix, PolyMatrix):
-            raise EquivError("ReducedMatrix wraps a PolyMatrix")
-        for row in matrix.rows():
-            for entry in row:
-                if entry != entry.linear_part():
-                    raise EquivError("entry is not a linear form: %s" % (entry,))
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ReducedMatrix is immutable")
-
-    @property
-    def field(self):
-        return self.matrix.field
-
-    @property
-    def nrows(self):
-        return self.matrix.nrows
-
-    @property
-    def ncols(self):
-        return self.matrix.ncols
-
-    def __getitem__(self, key):
-        return self.matrix[key]
-
-    def __eq__(self, other):
-        if not isinstance(other, ReducedMatrix):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __repr__(self):
-        return "ReducedMatrix(%d x %d)" % (self.nrows, self.ncols)
-
 
 class EquivalenceVerdict:
     """Outcome of one decision, with the certifying constant matrices.
@@ -104,16 +68,6 @@ class EquivalenceVerdict:
 
     def __setattr__(self, *_):
         raise AttributeError("EquivalenceVerdict is immutable")
-
-    def to_json(self, pair=None):
-        out = {}
-        if pair is not None:
-            out["pair"] = list(pair)
-        out["method"] = self.method
-        out["outcome"] = self.outcome
-        if self.witness is not None:
-            out["witness"] = [format_one_line(W) for W in self.witness]
-        return out
 
     def __repr__(self):
         return "EquivalenceVerdict(%s, method=%s)" % (self.outcome, self.method)
@@ -142,39 +96,16 @@ class ClassReport:
     def __setattr__(self, *_):
         raise AttributeError("ClassReport is immutable")
 
-    def to_json(self):
-        reps = []
-        for rep in self.representatives:
-            if isinstance(rep, PolyMatrix):
-                reps.append(format_one_line(rep))
-            else:
-                reps.append(str(rep))
-        return {
-            "catalog": self.catalog,
-            "count": self.count,
-            "representatives": reps,
-            "evidence": [dict(record, pair=list(record["pair"]))
-                         for record in self.evidence],
-            "inconclusive": [list(pair) for pair in self.inconclusive],
-        }
-
     def __repr__(self):
         return "ClassReport(%s, count=%d)" % (self.catalog, self.count)
-
-
-def _entry_matrix(M):
-    if isinstance(M, ReducedMatrix):
-        return M.matrix
-    if isinstance(M, PolyMatrix):
-        return M
-    raise EquivError("expected a PolyMatrix or ReducedMatrix")
 
 
 # -- reduction ------------------------------------------------------------------
 
 def linear_reduction(M):
-    """Entrywise linear part: the mod-m^2 picture of a presentation matrix."""
-    return ReducedMatrix(_entry_matrix(M).map_entries(lambda p: p.linear_part()))
+    """Entrywise linear part: the mod-m^2 picture of a presentation matrix,
+    a matrix of linear forms."""
+    return M.map_entries(lambda p: p.linear_part())
 
 
 # -- the decision engine --------------------------------------------------------
@@ -213,24 +144,27 @@ def _pin_parameters(field, factors):
                 current = attempt
                 break
         else:
-            raise EquivError("witness search exhausted its candidate values")
+            raise AssertionError("witness search exhausted its candidate values")
     return chosen
 
 
-def _decide_blocks(field, basis, blocks, verify):
-    """Is there a solution whose designated square blocks are all invertible?
+def _decide_blocks(A, B, basis):
+    """Is there a solution of U*A = B*V with U and V both invertible?
 
-    ``basis`` spans the solution space as flat coefficient vectors;
-    ``blocks`` lists (offset, size) of row-major square blocks inside a
-    vector; ``verify`` re-checks a candidate witness exactly.  Up to
-    _PARAM_LIMIT parameters the answer is symbolic: each block becomes a
-    grid of linear forms in the k parameters, a ``Polynomial`` in k
-    variables per cell, and its determinant vanishes identically exactly
-    when every solution has that block singular.  Beyond that, 64 seeded
-    draws look for a witness, and if all give a singular block the
-    verdict is inconclusive (sampled_determinant): a sampled "no" proves
-    nothing.
+    ``basis`` spans the solution space as flat coefficient vectors, U then
+    V row-major.  Up to _PARAM_LIMIT parameters the answer is symbolic:
+    U and V each become a grid of linear forms in the k parameters, a
+    ``Polynomial`` in k variables per cell, and a determinant vanishes
+    identically exactly when every solution has that block singular.
+    Beyond that, 64 seeded draws look for a witness, and if all give a
+    singular block the verdict is inconclusive (sampled_determinant): a
+    sampled "no" proves nothing.  A witness is re-checked exactly before
+    it is returned; a failed check is a fault of this module, not of its
+    input, and raises AssertionError.
     """
+    field = A.field
+    m, n = A.nrows, A.ncols
+    blocks = ((0, m), (m * m, n))
     k = len(basis)
     if k == 0:
         return EquivalenceVerdict(
@@ -253,32 +187,30 @@ def _decide_blocks(field, basis, blocks, verify):
                     detail="a block determinant vanishes identically on the "
                            "%d-parameter solution space" % k)
             factors.append(det)
-        values = _pin_parameters(field, factors)
-        vec = _combine(field, basis, values)
-        witness = tuple(_block_matrix(field, vec, offset, size)
-                        for offset, size in blocks)
-        if not verify(witness):
-            raise EquivError("internal witness check failed")
-        return EquivalenceVerdict("equivalent_with_witness", witness=witness,
-                                  method="determinant_polynomial")
-    rng = random.Random(_SAMPLE_SEED)
-    for _ in range(_SAMPLE_COUNT):
-        values = [field(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND))
-                  for _ in basis]
-        vec = _combine(field, basis, values)
-        mats = tuple(_block_matrix(field, vec, offset, size)
-                     for offset, size in blocks)
-        if all(determinant(W) for W in mats):
-            if not verify(mats):
-                raise EquivError("internal witness check failed")
-            return EquivalenceVerdict("equivalent_with_witness", witness=mats,
-                                      method="sampled_witness")
-    return EquivalenceVerdict(
-        "inconclusive", method="sampled_determinant",
-        detail="%d-parameter solution space; %d seeded draws from "
-               "[-10^6, 10^6] all gave a singular block (degree of the "
-               "determinant product is at most %d)"
-               % (k, _SAMPLE_COUNT, 2 * max(size for _, size in blocks)))
+        vec = _combine(field, basis, _pin_parameters(field, factors))
+        method = "determinant_polynomial"
+    else:
+        rng = random.Random(_SAMPLE_SEED)
+        for _ in range(_SAMPLE_COUNT):
+            values = [field(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND))
+                      for _ in basis]
+            vec = _combine(field, basis, values)
+            if all(determinant(_block_matrix(field, vec, offset, size))
+                   for offset, size in blocks):
+                break
+        else:
+            return EquivalenceVerdict(
+                "inconclusive", method="sampled_determinant",
+                detail="%d-parameter solution space; %d seeded draws from "
+                       "[-10^6, 10^6] all gave a singular block (degree of "
+                       "the determinant product is at most %d)"
+                       % (k, _SAMPLE_COUNT, 2 * max(m, n)))
+        method = "sampled_witness"
+    U, V = (_block_matrix(field, vec, offset, size) for offset, size in blocks)
+    if not (determinant(U) and determinant(V) and U * A == B * V):
+        raise AssertionError("internal witness check failed")
+    return EquivalenceVerdict("equivalent_with_witness", witness=(U, V),
+                              method=method)
 
 
 def _coefficient_rows(equations):
@@ -327,23 +259,12 @@ def scalar_equivalence(A, B):
     answer always carries a re-checked witness pair, and a failed seeded
     search is inconclusive.
     """
-    A = _entry_matrix(A)
-    B = _entry_matrix(B)
     if A.field is not B.field:
         raise EquivError("matrices over different fields")
     if (A.nrows, A.ncols) != (B.nrows, B.ncols):
         raise MatrixError("dimension mismatch: %dx%d vs %dx%d"
                           % (A.nrows, A.ncols, B.nrows, B.ncols))
-    m, n = A.nrows, A.ncols
-    basis = _intertwiner_basis(A, B)
-
-    def verify(witness):
-        U, V = witness
-        if not (determinant(U) and determinant(V)):
-            return False
-        return U * A == B * V
-
-    return _decide_blocks(A.field, basis, [(0, m), (m * m, n)], verify)
+    return _decide_blocks(A, B, _intertwiner_basis(A, B))
 
 
 # -- bounded-degree matrix equations --------------------------------------------
@@ -409,7 +330,7 @@ def matrix_equation_solvable(W, V, C, degree_bound):
                             for t, mu in enumerate(monos)})
          for l in range(q)] for i in range(m)])
     if W * A + B * V != C:
-        raise EquivError("internal solution check failed")
+        raise AssertionError("internal solution check failed")
     return True, (A, B)
 
 
@@ -475,7 +396,7 @@ def enumerate_classes(catalog, field=None):
     return ClassReport(catalog, ids)
 
 
-def _reduction_key(R):
+def _reduction_key(M):
     """Invariants of constant equivalence, used to split pairs cheaply.
 
     Writing the reduction as sum_v x_v A_v, an equivalence U*A*V acts by
@@ -489,7 +410,6 @@ def _reduction_key(R):
     stack row from the entries' terms through their variable index, a
     minor's row from its terms through a monomial -> column index.
     """
-    M = R.matrix
     field = M.field
     n, m = M.nrows, M.ncols
     horiz = [{} for _ in range(n)]  # row i of [A_1 .. A_4]
@@ -524,7 +444,7 @@ def _reduction_key(R):
     return (row_rank, col_rank, tuple(spans))
 
 
-def pairwise_distinctness(reps, budget=None, catalog=None):
+def pairwise_distinctness(reps):
     """Evidence that the listed matrices present pairwise distinct modules.
 
     Only the sound direction is claimed: "not_equivalent" comes either
@@ -533,10 +453,9 @@ def pairwise_distinctness(reps, budget=None, catalog=None):
     scalar_equivalence verdict on the reductions.  Pairs whose
     reductions turn out equivalent say nothing about the originals and
     are reported inconclusive, as are literal duplicates
-    (identical_params) and pairs skipped once ``budget`` scalar tests
-    have been spent.
+    (identical_params).  The report is labelled "<n> matrices"; the
+    command line spells reports, this module returns records.
     """
-    reps = [(_entry_matrix(M)) for M in reps]
     tilde = [linear_reduction(M) for M in reps]
     group = {}
     gid = []
@@ -545,7 +464,6 @@ def pairwise_distinctness(reps, budget=None, catalog=None):
         gid.append(group.setdefault(key, len(group)))
     evidence = []
     inconclusive = []
-    tests = 0
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             if reps[i] == reps[j]:
@@ -555,12 +473,7 @@ def pairwise_distinctness(reps, budget=None, catalog=None):
             elif gid[i] != gid[j]:
                 record = {"pair": (i, j), "method": "reduced_shape",
                           "outcome": "not_equivalent"}
-            elif budget is not None and tests >= budget:
-                record = {"pair": (i, j), "method": "over_budget",
-                          "outcome": "inconclusive"}
-                inconclusive.append((i, j))
             else:
-                tests += 1
                 verdict = scalar_equivalence(tilde[i], tilde[j])
                 if verdict.outcome == "not_equivalent":
                     record = {"pair": (i, j), "method": "scalar_test",
@@ -572,5 +485,4 @@ def pairwise_distinctness(reps, budget=None, catalog=None):
                               "outcome": "inconclusive"}
                     inconclusive.append((i, j))
             evidence.append(record)
-    label = catalog if catalog is not None else "%d matrices" % len(reps)
-    return ClassReport(label, reps, evidence, inconclusive)
+    return ClassReport("%d matrices" % len(reps), reps, evidence, inconclusive)

@@ -792,19 +792,17 @@ def transport_matrices(lam):
 
 # -- the five-general-points example ---------------------------------------------
 
-def five_points_example(field=None):
+def five_points_example():
     """The worked 6x6 skew presentation attached to five general surface
-    points: returns (A, quadrics, points).
+    points, over Q(w): returns (A, quadrics, points).
 
-    ``field`` must contain a root w of w^2 + w + 1 and defaults to Q(w).
     A is skew with linear entries, the five quadrics vanish at all five
     points, and the points are returned normalized into the standard charts.
     The first row and column carry a factor w^2/6 relative to the source
     display, which puts the Pfaffian at exactly f rather than a unit
     multiple of it (see ERRATA.md).
     """
-    if field is None:
-        field = omega_field()
+    field = omega_field()
     u = field.gen("w")
     x1, x2, x3, x4 = _variables(field)
 

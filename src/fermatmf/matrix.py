@@ -86,10 +86,10 @@ class PolyMatrix:
         raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
-    def zeros(cls, field, nrows, ncols=None, nvars=NVARS):
-        ncols = nrows if ncols is None else ncols
-        zero = Polynomial.zero(field, nvars)
-        return cls(field, [[zero] * ncols for _ in range(nrows)], nvars)
+    def zeros(cls, field, n):
+        """The n x n zero matrix in x1..x4."""
+        zero = Polynomial.zero(field, NVARS)
+        return cls(field, [[zero] * n for _ in range(n)], NVARS)
 
     @classmethod
     def identity(cls, field, n, scale=1, nvars=None):

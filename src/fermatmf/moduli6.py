@@ -254,13 +254,6 @@ class ModuliPoint:
     def __hash__(self):
         return hash((self.lam, self.gamma))
 
-    def to_json(self):
-        return {
-            "lambda": {"a": str(self.lam.a), "b": str(self.lam.b)},
-            "gamma": [str(self.gamma.a(i)) for i in range(1, 16)],
-            "certified": self.certified,
-        }
-
     def __repr__(self):
         flag = "certified" if self.certified else "uncertified"
         return "ModuliPoint(%r, %s)" % (self.lam, flag)

@@ -437,6 +437,8 @@ def parse_scalar(field, text):
 
 
 def _parse_sum(field, toks):
+    """A signed sum of products, added up in one table: the terms come in
+    the order of p + q + ..., and a sum of one product is that product."""
     ch = toks.peek()
     negate = False
     if ch in ("+", "-"):
@@ -445,16 +447,24 @@ def _parse_sum(field, toks):
     p = _parse_product(field, toks)
     if negate:
         p = -p
+    table = None
     while True:
         ch = toks.peek()
-        if ch == "+":
-            toks.pos += 1
-            p = p + _parse_product(field, toks)
-        elif ch == "-":
-            toks.pos += 1
-            p = p - _parse_product(field, toks)
-        else:
-            return p
+        if ch not in ("+", "-"):
+            return p if table is None else p._with_terms(table)
+        toks.pos += 1
+        q = _parse_product(field, toks)
+        if table is None:
+            table = dict(p.terms)
+        for exps, coeff in q.terms.items():
+            if ch == "-":
+                coeff = -coeff
+            prev = table.get(exps)
+            total = coeff if prev is None else prev + coeff
+            if total:
+                table[exps] = total
+            elif prev is not None:
+                del table[exps]
 
 
 def _degree(p):

@@ -202,7 +202,7 @@ def _distinctness(catalog):
 
         equiv.scalar_equivalence = recorded
         try:
-            report = pairwise_distinctness(mats, catalog=catalog)
+            report = pairwise_distinctness(mats)
         finally:
             equiv.scalar_equivalence = inner
         _DISTINCTNESS[catalog] = (ids, report)

@@ -201,8 +201,11 @@ def test_equiv_reports_the_u_swap_collision(capsys):
         "--reduced"])
     assert code == 0
     record = data["checks"][0]
+    assert set(record) == {"subject", "check", "outcome", "method",
+                           "witness", "reduced"}
     assert record["outcome"] == "equivalent_with_witness"
     assert len(record["witness"]) == 2
+    assert all(isinstance(w, str) for w in record["witness"])
     assert record["reduced"] is True
 
 
@@ -288,6 +291,7 @@ def test_moduli_sample_is_byte_identical_per_seed(capsys):
     assert record["outcome"] == "pass"
     assert record["certified"] is True
     assert len(record["gamma"]) == 15
+    assert all(isinstance(v, str) for v in record["gamma"])
 
 
 def test_moduli_sample_reports_an_exhausted_budget(capsys):
@@ -642,6 +646,16 @@ def test_a_non_package_exception_propagates(monkeypatch, exc):
     monkeypatch.setattr(cli, "_cmd_enumerate", broken)
     with pytest.raises(exc):
         main(["enumerate", "--catalog", "rank2_3gen"])
+
+
+def test_an_internal_fault_in_equiv_propagates(monkeypatch):
+    # a witness whose determinant comes out zero fails equiv's own
+    # re-check: a fault of the program, not bad input, so no exit 2
+    from fermatmf import equiv
+
+    monkeypatch.setattr(equiv, "determinant", lambda M: 0)
+    with pytest.raises(AssertionError, match="internal witness check"):
+        main(["equiv"] + _U_SWAP)
 
 
 def test_the_json_report_is_versioned(capsys):

@@ -133,7 +133,7 @@ def test_pfaffian_vector_annihilates():
         d2 = _random_skew(rng, 5)
         vec = pfaffian_vector(d2)
         row = PolyMatrix(F, [vec])
-        assert row * d2 == PolyMatrix.zeros(F, 1, 5)
+        assert row * d2 == PolyMatrix(F, [[0] * 5])
 
 
 def test_determinant_scaled_identity():
@@ -247,7 +247,7 @@ def test_a_matrix_lives_in_the_ring_of_its_entries():
     assert M * M == PolyMatrix.identity(F, 2, scale=y * z)
     assert determinant(M) == -(y * z)
     assert adjugate(M) == PolyMatrix(F, [[0, -y], [-z, 0]])
-    assert PolyMatrix.zeros(F, 2, nvars=2) == M - M
+    assert PolyMatrix(F, [[0, 0], [0, 0]], nvars=2) == M - M
     assert PolyMatrix(F, [[1, 0]], nvars=2)[0, 0] == Polynomial.one(F, 2)
     assert PolyMatrix(F, [[1, 0]]).nvars == 4
     # entries in 2 and 4 variables do not make one matrix

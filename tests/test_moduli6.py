@@ -364,14 +364,6 @@ def test_sampled_points_are_indecomposable():
     assert decompose_if_gamma_zero(point.matrix()) is None
 
 
-def test_moduli_points_serialize():
-    data = sampled_point().to_json()
-    assert data["lambda"] == {"a": "0", "b": "-1"}
-    assert len(data["gamma"]) == 15
-    assert data["certified"] is True
-    assert all(isinstance(v, str) for v in data["gamma"])
-
-
 # -- group actions ---------------------------------------------------------------
 
 def test_the_scaling_action_at_one_is_the_identity():
@@ -449,7 +441,7 @@ def test_the_sign_flip_swaps_the_pfaffian_sheet():
     with pytest.raises(ModuliError):
         pfaffian_sign_flip(PolyMatrix.zeros(F, 3))
     with pytest.raises(ModuliError):
-        pfaffian_sign_flip(PolyMatrix.zeros(F, 2, 3))
+        pfaffian_sign_flip(PolyMatrix(F, [[0] * 3] * 2))
     with pytest.raises(ModuliError):
         pfaffian_sign_flip(PolyMatrix.identity(F, 2))
 

@@ -254,6 +254,39 @@ def test_a_sign_inside_a_product_negates_the_power(text, expected):
     assert parse(F, text) == expected
 
 
+# single products, so that a sign between two of them starts the next term
+_SUMMANDS = ("x1", "(x1+1)", "1", "x2^2", "3*x1*x2", "w*x3", "1/2",
+             "(x1-x2)^2", "-x2^2", "2*x1")
+
+
+def _sum_of_parts(signs, parts):
+    total = -parse(F, parts[0]) if signs[0] == "-" else parse(F, parts[0])
+    for sign, part in zip(signs[1:], parts[1:]):
+        term = parse(F, part)
+        total = total - term if sign == "-" else total + term
+    return total
+
+
+def test_a_sum_parses_to_the_sum_of_its_parts():
+    # the parser adds up a sum in one table; it must give what Polynomial
+    # addition gives, in the same term order, also where terms cancel
+    cases = [("-+", ("(x1+1)", "x1")), ("-++", ("(x1+1)", "x1", "1")),
+             ("+-+", ("x1", "x1", "x2")), ("+-", ("x2^2", "x2^2"))]
+    rng = random.Random(2311)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        cases.append(("".join(rng.choice("+-") for _ in range(n)),
+                      tuple(rng.choice(_SUMMANDS) for _ in range(n))))
+    for signs, parts in cases:
+        text = "".join(" %s %s" % term for term in zip(signs, parts))
+        parsed = parse(F, text)
+        expected = _sum_of_parts(signs, parts)
+        assert parsed == expected, text
+        assert list(parsed.terms) == list(expected.terms), text
+    assert not parse(F, "-(x1+1) + x1 + 1")
+    assert parse(F, "x1 - x1 + x2") == x(2)
+
+
 def test_an_overlong_number_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse(F, "x1 + " + "9" * 5000)

@@ -1,6 +1,7 @@
 """No library code that nothing runs: every module-level function and public
 method in the package is referenced in the package outside its own
-definition, or is kept by a named consumer below."""
+definition, and every optional parameter is passed by some call in the
+package or the benchmark, or is kept by a named consumer below."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import pathlib
 import fermatmf
 
 PACKAGE = pathlib.Path(fermatmf.__file__).parent
+BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # name -> the acceptance criterion, benchmark workload or ROADMAP item that
 # keeps a definition the package itself never calls
@@ -63,3 +65,66 @@ def test_every_definition_is_referenced_or_kept():
                 unreferenced.add(qualname)
     # a kept name that the package now calls should leave the table too
     assert sorted(unreferenced) == sorted(_KEPT)
+
+
+# "name(parameter)" -> the consumer that keeps an optional parameter which
+# no call in the package or the benchmark passes
+_KEPT_OPTIONS = {}
+
+
+def _passes(call, param, index, offset):
+    """Does ``call`` pass ``param``, the index-th positional parameter (None
+    for keyword-only) of a definition whose first ``offset`` parameters the
+    call binds itself?"""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        any(isinstance(a, ast.Starred) for a in call.args)
+        or len(call.args) > index - offset)
+
+
+def test_every_optional_parameter_is_passed_or_kept():
+    package = sorted(PACKAGE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in package + sorted(BENCHMARK.glob("*.py"))}
+    # (qualified name, node, parameters a call binds itself) of each
+    # module-level function and each method in the package
+    definitions = []
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef):
+                definitions.append(("%s.%s" % (path.stem, node.name), node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)
+                        definitions.append(("%s.%s.%s" % (
+                            path.stem, node.name, item.name), item,
+                            0 if static else 1))
+    names = [node.name for _, node, _ in definitions]
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = set()
+    for qualname, node, offset in definitions:
+        # a call by attribute names one method only if no other
+        # definition shares its name
+        if qualname.count(".") == 2 and names.count(node.name) != 1:
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        optional = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+        optional += [(None, p.arg) for p, default
+                     in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None]
+        for index, param in optional:
+            if not any(_passes(call, param, index, offset)
+                       for call in calls.get(node.name, ())):
+                unpassed.add("%s(%s)" % (qualname, param))
+    assert sorted(unpassed) == sorted(_KEPT_OPTIONS)
