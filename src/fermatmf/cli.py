@@ -143,16 +143,18 @@ def _parse_point(field, text):
 
 
 def _read_matrix(field, source):
+    """The matrix in a file, or on stdin for "-": read as bytes and decoded
+    as UTF-8 whatever the locale, an undecodable byte kept as a surrogate
+    that the parser then reports."""
     if source == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
         try:
-            with open(source, "r", encoding="utf-8",
-                      errors="surrogateescape") as handle:
-                text = handle.read()
+            with open(source, "rb") as handle:
+                data = handle.read()
         except OSError as err:
             raise _UsageError(str(err))
-    return parse_matrix(field, text)
+    return parse_matrix(field, data.decode("utf-8", "surrogateescape"))
 
 
 # -- subcommand handlers ---------------------------------------------------------

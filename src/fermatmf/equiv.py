@@ -22,8 +22,8 @@ import random
 
 from .families import FamilyId, SigmaPerm
 from .field import FermatmfError, omega_field, special_roots
-from .matrix import (MatrixError, PolyMatrix, determinant, expand_determinant,
-                     field_nullspace, field_rref, minors)
+from .matrix import (MatrixError, PolyMatrix, determinant, field_nullspace,
+                     field_rref, minors)
 from .poly import LINEAR_EXPS, Polynomial, grlex_key
 
 # Solution spaces wider than this skip the symbolic determinant and fall
@@ -153,9 +153,10 @@ def _decide_blocks(A, B, basis):
 
     ``basis`` spans the solution space as flat coefficient vectors, U then
     V row-major.  Up to _PARAM_LIMIT parameters the answer is symbolic:
-    U and V each become a grid of linear forms in the k parameters, a
-    ``Polynomial`` in k variables per cell, and a determinant vanishes
-    identically exactly when every solution has that block singular.
+    U and V each become a ``PolyMatrix`` in k variables, the parameters,
+    with linear entries, and its ``determinant`` (at most 6x6, so within
+    that function's size and degree bounds) vanishes identically exactly
+    when every solution has that block singular.
     Beyond that, 64 seeded draws look for a witness, and if all give a
     singular block the verdict is inconclusive (sampled_determinant): a
     sampled "no" proves nothing.  A witness is re-checked exactly before
@@ -172,15 +173,13 @@ def _decide_blocks(A, B, basis):
             detail="only the zero solution intertwines the two matrices")
     if k <= _PARAM_LIMIT:
         params = [tuple(int(t == b) for t in range(k)) for b in range(k)]
+        forms = [Polynomial(field, {params[b]: vec[cell]
+                                    for b, vec in enumerate(basis)
+                                    if vec[cell]}, k)
+                 for cell in range(len(basis[0]))]
         factors = []
         for offset, size in blocks:
-            grid = [[Polynomial(field, {params[b]: vec[cell]
-                                        for b, vec in enumerate(basis)
-                                        if vec[cell]}, k)
-                     for cell in range(start, start + size)]
-                    for start in range(offset, offset + size * size, size)]
-            det = expand_determinant(grid, Polynomial.one(field, k),
-                                     Polynomial.zero(field, k))
+            det = determinant(_block_matrix(field, forms, offset, size))
             if not det:
                 return EquivalenceVerdict(
                     "not_equivalent", method="determinant_polynomial",

@@ -3,10 +3,9 @@ and the matrix-factorization identity check, which returns the certified
 pair or raises a MatrixError naming every residual entry.
 
 Everything here is exact.  Sizes stay at 8 or below (``determinant`` and
-``pfaffian`` refuse larger input), so determinants use cofactor-style
-expansion (memoized over column subsets), minors and
-adjugates come from one table of all minors up to a size (``minors``), and
-Pfaffians use the first-row expansion
+``pfaffian`` refuse larger input), so determinants, minors and adjugates
+share one memoized expansion of a minor along its last row (``_minor``),
+and Pfaffians use the first-row expansion
 
     Pf(S) = sum over m >= 2 of (-1)^m * M[s1, sm] * Pf(S without s1, sm)
 
@@ -108,9 +107,6 @@ class PolyMatrix:
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
-
-    def rows(self):
-        return self.entries
 
     def is_square(self):
         return self.nrows == self.ncols
@@ -217,35 +213,6 @@ def block(grid):
     return PolyMatrix(field, rows)
 
 
-def expand_determinant(grid, one, zero):
-    """Exact determinant of a square grid of ring elements by expansion
-    along rows, memoized on column subsets.
-
-    The entries need only ``+``, unary ``-``, ``*`` and ``bool``; ``one``
-    and ``zero`` are the ring's identities.
-    """
-    n = len(grid)
-    # D[mask] = det of the submatrix on the first popcount(mask) rows and
-    # the column set encoded by mask, built up a row at a time
-    table = {0: one}
-    for mask in range(1, 1 << n):
-        row = bin(mask).count("1") - 1
-        acc = zero
-        # expand along the last row: sign is (-1)^(row + position-in-subset)
-        position = 0
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            a = grid[row][j]
-            if a:
-                term = a * table[mask ^ bit]
-                acc = acc + (term if (row + position) % 2 == 0 else -term)
-            position += 1
-        table[mask] = acc
-    return table[(1 << n) - 1]
-
-
 def _require_small(M, what, halve=False):
     """Refuse M before expanding when its size is past MAX_SIZE or its
     result's degree may pass MAX_POWER_DEGREE, the parser's bound on one
@@ -270,61 +237,71 @@ def determinant(M):
     _require_small(M, "determinant")
     if not M.is_square():
         raise MatrixError("determinant of a non-square matrix")
-    return expand_determinant(M.entries, Polynomial.one(M.field, M.nvars),
-                              Polynomial.zero(M.field, M.nvars))
+    return _minor(M, tuple(range(M.nrows)), tuple(range(M.ncols)), {})
+
+
+def _minor(M, rows, cols, memo):
+    """The minor of M on increasing row and column tuples, expanded along
+    its last row with the sign (-1)^(k-1+p) at position p from 0, and kept
+    in ``memo`` from size 2 up; a 1x1 minor is its entry, the 0x0 minor 1.
+    Zero entries and zero sub-minors are skipped, and a sub-minor is read
+    off the entries or the memo before it is expanded."""
+    k = len(rows)
+    if not k:
+        return Polynomial.one(M.field, M.nvars)
+    head, last = rows[:-1], M.entries[rows[-1]]
+    if k == 1:
+        return last[cols[0]]
+    total = None
+    for p, j in enumerate(cols):
+        a = last[j]
+        if not a:
+            continue
+        rest = cols[:p] + cols[p + 1:]
+        sub = memo.get((head, rest)) if k > 2 else M.entries[head[0]][rest[0]]
+        if sub is None:
+            sub = _minor(M, head, rest, memo)
+        if sub:
+            term = a * sub if (k - 1 + p) % 2 == 0 else -(a * sub)
+            total = term if total is None else total + term
+    memo[rows, cols] = total = total or Polynomial.zero(M.field, M.nvars)
+    return total
 
 
 def minors(M, size):
-    """Every k x k minor of M for k = 0 .. size, from one memo table.
+    """Every k x k minor of M for k = 0 .. size, through one ``_minor`` memo.
 
     Returns ``levels``: ``levels[k]`` maps (row tuple, column tuple), both
     increasing, to the k x k minor, in the order of
-    ``itertools.combinations`` on rows, then on columns.  A k-minor is
-    expanded along its last row into (k-1)-minors of ``levels[k-1]``, with
-    the sign (-1)^(k-1+p) of ``expand_determinant``, so each minor is
-    computed once.  The table holds sum C(nrows, k) * C(ncols, k) entries,
-    which is why ``determinant`` keeps its 2^n row-prefix expansion.
+    ``itertools.combinations`` on rows, then on columns.  The levels are
+    filled from k = 0 up, so every sub-minor a k-minor needs is already in
+    the memo and each minor is expanded once.
     """
     if not 0 <= size <= min(M.nrows, M.ncols):
         raise MatrixError("no %d x %d minors in a %d x %d matrix"
                           % (size, size, M.nrows, M.ncols))
-    zero = Polynomial.zero(M.field, M.nvars)
-    levels = [{((), ()): Polynomial.one(M.field, M.nvars)}]
-    for k in range(1, size + 1):
-        below = levels[-1]
-        level = {}
-        for rows in combinations(range(M.nrows), k):
-            head, last = rows[:-1], M.entries[rows[-1]]
-            for cols in combinations(range(M.ncols), k):
-                acc = zero
-                for p, j in enumerate(cols):
-                    a = last[j]
-                    if not a:
-                        continue
-                    sub = below[head, cols[:p] + cols[p + 1:]]
-                    if sub:
-                        term = a * sub
-                        acc = acc + (term if (k - 1 + p) % 2 == 0 else -term)
-                level[rows, cols] = acc
-        levels.append(level)
-    return levels
+    memo = {}
+    return [{(rows, cols): _minor(M, rows, cols, memo)
+             for rows in combinations(range(M.nrows), k)
+             for cols in combinations(range(M.ncols), k)}
+            for k in range(size + 1)]
 
 
 def adjugate(M):
     """The matrix adj with M * adj = adj * M = det(M) * Id.
 
     adj[j][i] = (-1)^(i+j) * det(M without row i and column j); all n^2
-    cofactors are read from level n-1 of one ``minors`` table.
+    cofactors are expanded through one ``_minor`` memo.
     """
     if not M.is_square():
         raise MatrixError("adjugate of a non-square matrix")
     n = M.nrows
-    cofactors = minors(M, n - 1)[n - 1]
+    memo = {}
     rest = [tuple(k for k in range(n) if k != i) for i in range(n)]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = cofactors[rest[i], rest[j]]
+            minor = _minor(M, rest[i], rest[j], memo)
             adj[j][i] = minor if (i + j) % 2 == 0 else -minor
     return PolyMatrix(M.field, adj, M.nvars)
 

@@ -1,3 +1,4 @@
+import io
 import sys
 
 import pytest
@@ -18,3 +19,15 @@ def int_digit_limit(request):
         yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+@pytest.fixture
+def stdin(monkeypatch):
+    """A function that puts text, or raw bytes, on sys.stdin as a stream
+    with a byte buffer underneath, as a terminal or a pipe gives it."""
+    def feed(data):
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+    return feed

@@ -1,7 +1,6 @@
 """Tests for the command line surface: reports, determinism, exit codes."""
 
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -397,8 +396,8 @@ def test_moduli_act_checks_the_h_law(capsys):
     assert "K1*K4" in err
 
 
-def test_pfaffian_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("0, x1; -x1, 0"))
+def test_pfaffian_reads_stdin(capsys, stdin):
+    stdin("0, x1; -x1, 0")
     code, data = run_json(capsys, ["pfaffian"])
     assert code == 0
     assert data["checks"][0]["value"] == "x1"
@@ -412,8 +411,8 @@ def test_det_reads_a_file(capsys, tmp_path):
     assert data["checks"][0]["value"] == "x1*x2"
 
 
-def test_pfaffian_rejects_non_skew_input(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("x1, 0; 0, x1"))
+def test_pfaffian_rejects_non_skew_input(capsys, stdin):
+    stdin("x1, 0; 0, x1")
     code, out, err = run(capsys, ["pfaffian"])
     assert code == 2
     assert not out
@@ -431,7 +430,7 @@ def _equiv_left(left):
     return ["equiv", "--left", left, "--right", _RHO]
 
 
-@pytest.mark.parametrize("argv, stdin, message", [
+@pytest.mark.parametrize("argv, piped, message", [
     (["verify", "--family", "nope:a=1"], None,
      "unknown family name 'nope'"),
     (["enumerate", "--catalog", "everything"], None,
@@ -459,6 +458,7 @@ def _equiv_left(left):
      "[Errno 2] No such file or directory: '{tmp}/missing.txt'"),
     (["det", "--matrix", _NOT_UTF8], None,
      "unexpected '\\udcff' (at position 0)"),
+    (["det"], b"x1\xff", "unexpected '\\udcff' (at position 2)"),
     (["moduli", "act", "--lambda", "0,-1", "--kind", "Uk", "--k", "2",
       "--matrix", _NOT_UTF8], None, "unexpected '\\udcff' (at position 0)"),
     (["det"], "x1^\u00b2", "expected a number (at position 3)"),
@@ -488,16 +488,17 @@ def _equiv_left(left):
 ], ids=["verify", "enumerate", "equiv", "moduli_solve", "moduli_sample",
         "moduli_act", "det", "pfaffian", "equiv_bare_pencil",
         "missing_lambda", "free_count", "coeffs_count", "k_malformed",
-        "missing_file", "det_not_utf8", "moduli_act_not_utf8",
+        "missing_file", "det_not_utf8", "det_stdin_not_utf8",
+        "moduli_act_not_utf8",
         "det_superscript_exponent", "lambda_needs_surface_point",
         "curve_alpha_needs_curve_point", "bare_key", "duplicate_key",
         "normalized_value", "lam_coordinate_count", "mubar_unnormalized",
         "moduli_act_not_6x6", "det_deep_parentheses", "det_deep_signs",
         "det_product_of_powers", "det_long_sum_of_powers"])
-def test_malformed_input_is_one_error_line(capsys, monkeypatch, tmp_path,
-                                           argv, stdin, message):
+def test_malformed_input_is_one_error_line(capsys, stdin, tmp_path,
+                                           argv, piped, message):
     (tmp_path / "not_utf8.txt").write_bytes(b"\xff")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    stdin(piped or "")
     code, out, err = run(capsys, [a.replace("{tmp}", str(tmp_path))
                                   for a in argv])
     assert code == 2
@@ -513,17 +514,16 @@ _NINES = "9" * 3000
     (_NINES + "*" + _NINES, "product above 4300 digits (at position 3001)"),
     ("(" + "9" * 400 + ")^12", "power above 4300 digits (at position 403)"),
 ], ids=["overlong_number", "long_product", "long_power"])
-def test_the_digit_limits_are_the_programs_own(capsys, monkeypatch,
+def test_the_digit_limits_are_the_programs_own(capsys, stdin,
                                                int_digit_limit, text,
                                                message):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    stdin(text)
     assert run(capsys, ["det"]) == (2, "", "error: %s\n" % message)
 
 
-def test_a_long_result_prints_exactly(capsys, monkeypatch, int_digit_limit):
+def test_a_long_result_prints_exactly(capsys, stdin, int_digit_limit):
     # (10^3000 - 1)^2 has 6000 digits, past the interpreter's default limit
-    monkeypatch.setattr(sys, "stdin",
-                        io.StringIO("%s, 0; 0, %s" % (_NINES, _NINES)))
+    stdin("%s, 0; 0, %s" % (_NINES, _NINES))
     code, out, err = run(capsys, ["det"])
     assert code == 0 and not err
     square = "9" * 2999 + "8" + "0" * 2999 + "1"
@@ -560,15 +560,15 @@ def _bidiagonal(n):
 @pytest.mark.parametrize("command, what", [("det", "determinant"),
                                            ("pfaffian", "Pfaffian")])
 def test_matrices_above_8x8_are_refused_before_expansion(
-        capsys, monkeypatch, command, what):
+        capsys, monkeypatch, stdin, command, what):
     from fermatmf import matrix
 
     def no_expansion(*_):
         raise AssertionError("expansion started")
 
-    monkeypatch.setattr(matrix, "expand_determinant", no_expansion)
+    monkeypatch.setattr(matrix, "_minor", no_expansion)
     monkeypatch.setattr(matrix, "_pf_recursive", no_expansion)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(_bidiagonal(9)))
+    stdin(_bidiagonal(9))
     code, out, err = run(capsys, [command])
     assert code == 2 and not out
     assert err == "error: %s of a 9x9 matrix: sizes stop at 8x8\n" % what
@@ -584,15 +584,15 @@ _POWER12 = "(x1^12 + x2)"
      % (_POWER12, _POWER12), "Pfaffian of degree up to 13"),
 ], ids=["det", "pfaffian"])
 def test_results_above_degree_12_are_refused_before_expansion(
-        capsys, monkeypatch, command, text, message):
+        capsys, monkeypatch, stdin, command, text, message):
     from fermatmf import matrix
 
     def no_expansion(*_):
         raise AssertionError("expansion started")
 
-    monkeypatch.setattr(matrix, "expand_determinant", no_expansion)
+    monkeypatch.setattr(matrix, "_minor", no_expansion)
     monkeypatch.setattr(matrix, "_pf_recursive", no_expansion)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    stdin(text)
     code, out, err = run(capsys, [command])
     assert code == 2 and not out
     assert err == "error: %s: degrees stop at 12\n" % message
@@ -602,9 +602,9 @@ def test_results_above_degree_12_are_refused_before_expansion(
     ("det", "x1^6, x2; 0, x2^6", "x1^6*x2^6"),
     ("pfaffian", "0, x1^12; -x1^12, 0", "x1^12"),
 ], ids=["det", "pfaffian"])
-def test_a_result_of_degree_12_still_expands(capsys, monkeypatch,
+def test_a_result_of_degree_12_still_expands(capsys, stdin,
                                              command, text, value):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    stdin(text)
     code, data = run_json(capsys, [command])
     assert code == 0
     assert data["checks"][0]["value"] == value
@@ -612,23 +612,22 @@ def test_a_result_of_degree_12_still_expands(capsys, monkeypatch,
 
 @pytest.mark.parametrize("exponent", [13, 60])
 def test_a_power_above_degree_12_is_refused_before_expansion(
-        capsys, monkeypatch, exponent):
+        capsys, monkeypatch, stdin, exponent):
     from fermatmf import poly
 
     def no_expansion(*_):
         raise AssertionError("expansion started")
 
     monkeypatch.setattr(poly, "power", no_expansion)
-    monkeypatch.setattr(sys, "stdin",
-                        io.StringIO("(x1+x2+x3+x4)^%d" % exponent))
+    stdin("(x1+x2+x3+x4)^%d" % exponent)
     code, out, err = run(capsys, ["det"])
     assert code == 2 and not out
     assert err == ("error: power above exponent or total degree 12 "
                    "(at position 14)\n")
 
 
-def test_an_8x8_determinant_still_expands(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(_bidiagonal(8)))
+def test_an_8x8_determinant_still_expands(capsys, stdin):
+    stdin(_bidiagonal(8))
     code, data = run_json(capsys, ["det"])
     assert code == 0
     assert data["checks"][0]["value"] == "x1^8"
@@ -650,10 +649,21 @@ def test_a_non_package_exception_propagates(monkeypatch, exc):
 
 def test_an_internal_fault_in_equiv_propagates(monkeypatch):
     # a witness whose determinant comes out zero fails equiv's own
-    # re-check: a fault of the program, not bad input, so no exit 2
+    # re-check: a fault of the program, not bad input, so no exit 2.  Only
+    # the constant witness blocks in x1..x4 are faked; the block
+    # determinants in the solution space's parameters stay exact.
     from fermatmf import equiv
+    from fermatmf.poly import NVARS
 
-    monkeypatch.setattr(equiv, "determinant", lambda M: 0)
+    determinant = equiv.determinant
+
+    def faulty(M):
+        if M.nvars == NVARS and all(a.is_constant() for row in M.entries
+                                    for a in row):
+            return 0
+        return determinant(M)
+
+    monkeypatch.setattr(equiv, "determinant", faulty)
     with pytest.raises(AssertionError, match="internal witness check"):
         main(["equiv"] + _U_SWAP)
 

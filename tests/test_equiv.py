@@ -59,7 +59,7 @@ def _rref_span(polys):
 
 def _linear_span(M):
     """Reduced basis of the span of the linear parts of M's entries."""
-    return _rref_span([e for row in linear_reduction(M).rows()
+    return _rref_span([e for row in linear_reduction(M).entries
                        for e in row])
 
 

@@ -356,7 +356,7 @@ def test_omega_sign_correction_is_forced():
     r = RootData(F, a=-1, b=-1, u=W)
     for normalized in (True, False):
         mf = sigma_build("rho", sigma, r, normalized=normalized)
-        rows = [list(row) for row in mf.psi.rows()]
+        rows = [list(row) for row in mf.psi.entries]
         rows[2][1] = -rows[2][1]
         uncorrected = PolyMatrix(F, rows)
         with pytest.raises(MatrixError, match=r"^phi\*psi != f\*Id: "
@@ -649,7 +649,7 @@ def test_a_flipped_display_entry_fails_its_row_proof(monkeypatch):
 
     def flipped(field, *slots):
         phi, psi = families._rho_5x5(field, *slots)
-        rows = [list(row) for row in psi.rows()]
+        rows = [list(row) for row in psi.entries]
         rows[2][1] = -rows[2][1]  # the [3,2] sign ERRATA.md corrects
         return phi, PolyMatrix(field, rows)
 

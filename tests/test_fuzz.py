@@ -5,9 +5,7 @@ Every input must end in exit status 0, or in exit status 2 with exactly one
 the kernels' work bounds keep each run short, so the check needs no clock.
 """
 
-import io
 import random
-import sys
 
 from fermatmf.cli import main
 
@@ -81,11 +79,11 @@ def _inputs():
     return texts
 
 
-def test_det_and_pfaffian_exit_cleanly_on_fuzzed_input(capsys, monkeypatch):
+def test_det_and_pfaffian_exit_cleanly_on_fuzzed_input(capsys, stdin):
     codes = set()
     for text in _inputs():
         for command in ("det", "pfaffian"):
-            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            stdin(text)
             code = main([command])
             out, err = capsys.readouterr()
             where = "%s on %r" % (command, text[:60])

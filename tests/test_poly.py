@@ -5,7 +5,7 @@ import pytest
 
 import fermatmf.poly as poly
 from fermatmf.field import FieldElement, TowerError, omega_field, sextic_field
-from fermatmf.matrix import expand_determinant, parse_matrix
+from fermatmf.matrix import PolyMatrix, determinant, parse_matrix
 from fermatmf.poly import (
     LINEAR_EXPS,
     ParseError,
@@ -75,7 +75,7 @@ def test_restrict_pins_the_parameters_of_a_determinant():
     grid = [[Polynomial(F, {u: rng.randint(-2, 2) + rng.randint(-1, 1) * w
                             for u in units}, 5)
              for _ in range(3)] for _ in range(3)]
-    det = expand_determinant(grid, Polynomial.one(F, 5), Polynomial.zero(F, 5))
+    det = determinant(PolyMatrix(F, grid, 5))
     assert det.is_homogeneous() == (True, 3)
     for _ in range(5):
         point = [F(rng.randint(-3, 3)) for _ in range(5)]
