@@ -276,8 +276,9 @@ def _build_parser():
 
     p = sub.add_parser("verify", parents=[common],
                        help="re-check factorization identities")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--family", metavar="ID")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--all", action="store_true")
+    target.add_argument("--family", metavar="ID")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("enumerate", parents=[common],

@@ -74,22 +74,26 @@ class EquivalenceVerdict:
 
 
 class ClassReport:
-    """A catalog sweep: who was enumerated and what separates them.
+    """A catalog enumeration or a sweep: how many were listed and what
+    separates them.
 
-    ``evidence`` holds one record per compared pair, ``inconclusive``
-    the pairs the sweep could not prove distinct -- literal duplicates
-    and reduced-equivalent pairs land there too, never in a distinctness
-    claim.  ``count`` always equals the number of representatives.
+    An enumeration holds its ids in ``representatives``.  A sweep holds
+    none -- it keeps no reference to the matrices it compared -- so its
+    ``count`` is the number of matrices it was given.  ``evidence``
+    holds one record per compared pair, ``inconclusive`` the pairs the
+    sweep could not prove distinct -- literal duplicates and
+    reduced-equivalent pairs land there too, never in a distinctness
+    claim.
     """
 
     __slots__ = ("catalog", "representatives", "count", "evidence",
                  "inconclusive")
 
-    def __init__(self, catalog, representatives, evidence=(), inconclusive=()):
-        representatives = tuple(representatives)
+    def __init__(self, catalog, count, representatives=(), evidence=(),
+                 inconclusive=()):
         object.__setattr__(self, "catalog", catalog)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "count", len(representatives))
+        object.__setattr__(self, "representatives", tuple(representatives))
+        object.__setattr__(self, "count", count)
         object.__setattr__(self, "evidence", tuple(evidence))
         object.__setattr__(self, "inconclusive", tuple(inconclusive))
 
@@ -392,7 +396,7 @@ def enumerate_classes(catalog, field=None):
     else:
         raise EquivError("unknown catalog %r" % (catalog,))
     ids.sort(key=str)
-    return ClassReport(catalog, ids)
+    return ClassReport(catalog, len(ids), ids)
 
 
 def _reduction_key(M):
@@ -403,13 +407,24 @@ def _reduction_key(M):
     of the vertical stack are invariant; and every k x k minor of U*A*V
     is a constant combination of k x k minors of A (Cauchy-Binet on both
     sides), so the coefficient span of the k-minors is invariant too.
-    Every minor, for k up to min(n, m) - 1, comes from one ``minors``
-    table, and each span is the nonzero rows of one ``field_rref``.  All
-    of its rows are {column: coefficient} maps written from terms: a
-    stack row from the entries' terms through their variable index, a
-    minor's row from its terms through a monomial -> column index.
+    The key has a level for each k up to min(n, m) - 1.  All of it is
+    read off the live block, the rows and columns of M that hold a
+    nonzero entry: a zero row or column adds nothing to either stack
+    rank, and every minor through it is zero, so a level above the live
+    block's size is "zero".  The live block's minors come from one
+    ``minors`` table, and each span is the nonzero rows of one
+    ``field_rref``.  All of its rows are {column: coefficient} maps
+    written from terms: a stack row from the entries' terms through
+    their variable index, a minor's row from its terms through a
+    monomial -> column index.
     """
     field = M.field
+    size = min(M.nrows, M.ncols) - 1
+    live_rows = [i for i, row in enumerate(M.entries) if any(row)]
+    if not live_rows:
+        return (0, 0, tuple((k, "zero") for k in range(1, size + 1)))
+    live_cols = [j for j in range(M.ncols) if any(row[j] for row in M.entries)]
+    M = M.submatrix(live_rows, live_cols)
     n, m = M.nrows, M.ncols
     horiz = [{} for _ in range(n)]  # row i of [A_1 .. A_4]
     vert = [[{} for _ in range(n)] for _ in range(4)]  # row i of A_v
@@ -422,11 +437,11 @@ def _reduction_key(M):
                     vert[v][i][j] = c
     row_rank = len(field_rref(horiz, field, 4 * m)[1])
     col_rank = len(field_rref([row for A in vert for row in A], field, m)[1])
-    size = min(n, m) - 1
-    levels = minors(M, size)
+    levels = minors(M, min(size, n, m))
+    zero = field.zero()
     spans = []
     for k in range(1, size + 1):
-        polys = list(levels[k].values())
+        polys = list(levels[k].values()) if k < len(levels) else []
         support = sorted({e for poly in polys for e in poly.terms},
                          key=grlex_key)
         if not support:
@@ -435,10 +450,11 @@ def _reduction_key(M):
         column = {e: j for j, e in enumerate(support)}
         mat = [{column[e]: c for e, c in poly.terms.items()} for poly in polys]
         reduced, pivots = field_rref(mat, field, len(support))
-        # most cells of the dense pivot rows are zero: print those as "0"
-        # without formatting them
+        # most cells of the dense pivot rows are the shared zero: print
+        # those as "0" without formatting them
         spans.append((k, tuple(support), pivots,
-                      tuple(tuple(str(c) if c else "0" for c in reduced[row])
+                      tuple(tuple("0" if c is zero else str(c)
+                                  for c in reduced[row])
                             for row in range(len(pivots)))))
     return (row_rank, col_rank, tuple(spans))
 
@@ -452,8 +468,10 @@ def pairwise_distinctness(reps):
     scalar_equivalence verdict on the reductions.  Pairs whose
     reductions turn out equivalent say nothing about the originals and
     are reported inconclusive, as are literal duplicates
-    (identical_params).  The report is labelled "<n> matrices"; the
-    command line spells reports, this module returns records.
+    (identical_params).  The report is labelled "<n> matrices" and
+    holds its count, evidence and inconclusive pairs, but no reference
+    to ``reps``; the command line spells reports, this module returns
+    records.
     """
     tilde = [linear_reduction(M) for M in reps]
     group = {}
@@ -484,4 +502,5 @@ def pairwise_distinctness(reps):
                               "outcome": "inconclusive"}
                     inconclusive.append((i, j))
             evidence.append(record)
-    return ClassReport("%d matrices" % len(reps), reps, evidence, inconclusive)
+    return ClassReport("%d matrices" % len(reps), len(reps),
+                       evidence=evidence, inconclusive=inconclusive)

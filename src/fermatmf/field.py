@@ -342,6 +342,20 @@ class FieldElement:
 
     __rmul__ = __mul__
 
+    def add_product(self, a, b):
+        """self + a * b for elements a, b of the same field, normalised
+        once: the product's numerators and denominator go straight into
+        the sum, unreduced."""
+        field = self.field
+        if a.field is not field or b.field is not field:
+            raise TowerError("operands from different fields")
+        nums = field._mul(a._nums, b._nums)
+        da, db = self._den, a._den * b._den
+        if da == db:
+            return field._element(tuple(map(add, self._nums, nums)), da)
+        return field._element(tuple(
+            [x * db + y * da for x, y in zip(self._nums, nums)]), da * db)
+
     def _inverse_pair(self):
         # 1/self as (numerators, denominator), not yet in lowest terms: the
         # inverse of the numerator vector, scaled by the denominator

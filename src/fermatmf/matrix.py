@@ -53,8 +53,8 @@ class PolyMatrix:
                           if isinstance(a, Polynomial)), NVARS)
         entries = []
         width = None
-        # every zero entry is the ring's one shared zero polynomial, which
-        # keeps the memory of long sweeps low
+        # every zero entry, a zero scalar included, is the ring's one
+        # shared zero polynomial, which keeps the memory of long sweeps low
         zero = Polynomial.zero(field, nvars)
         for row in rows:
             coerced = []
@@ -66,8 +66,10 @@ class PolyMatrix:
                         raise MatrixError("matrix entries in %d and %d variables"
                                           % (nvars, entry.nvars))
                 else:
-                    entry = Polynomial.constant(field, field(entry), nvars)
-                coerced.append(entry if entry.terms else zero)
+                    entry = field(entry)
+                    if entry:
+                        entry = Polynomial.constant(field, entry, nvars)
+                coerced.append(entry or zero)
             if width is None:
                 width = len(coerced)
             elif len(coerced) != width:
@@ -461,13 +463,14 @@ def verify_matrix_factorization(phi, psi, f):
 
 def _subtract_multiple(row, factor, prow):
     """row -= factor * prow in place, on {column: coefficient} rows that
-    never store a zero."""
+    never store a zero; each cell costs one fused multiply-add."""
+    factor = -factor
     for j, p in prow.items():
         c = row.get(j)
         if c is None:
-            row[j] = -(factor * p)
+            row[j] = factor * p
         else:
-            c = c - factor * p
+            c = c.add_product(factor, p)
             if c:
                 row[j] = c
             else:
@@ -480,9 +483,10 @@ def field_rref(rows, field, ncols=None):
     Each row is a sequence of ``ncols`` cells or a ``{column: coefficient}``
     map; a map row needs ``ncols``, and a sequence row fixes it when it is
     not given.  Cells are FieldElements, ints or Fractions, and only the
-    nonzero ones are coerced.  Returns ``(reduced rows, pivot columns)``:
-    the nonzero reduced rows in pivot order as dense tuples, then zero
-    rows, one output row per input row.
+    nonzero ones are coerced; an element of ``field`` is kept as it is.
+    Returns ``(reduced rows, pivot columns)``: the nonzero reduced rows in
+    pivot order as dense tuples, then zero rows, one output row per input
+    row.
 
     The echelon is sparse and grows a row at a time (Gauss-Jordan): every
     row is a {column: coefficient} map that never holds a zero.  An input
@@ -513,7 +517,8 @@ def field_rref(rows, field, ncols=None):
             elif len(row) != width:
                 raise MatrixError("ragged rows")
             cells = enumerate(row)
-        entries = {j: field(c) for j, c in cells if c}
+        entries = {j: c if type(c) is FieldElement and c.field is field
+                   else field(c) for j, c in cells if c}
         if entries:
             sparse.append(entries)
     if width is None:

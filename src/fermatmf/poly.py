@@ -77,12 +77,14 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def _with_terms(self, table):
-        """A polynomial in this ring holding ``table`` as is (no checks)."""
-        out = object.__new__(Polynomial)
-        object.__setattr__(out, "field", self.field)
-        object.__setattr__(out, "terms", table)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "_neg", None)
+        """A polynomial in this ring holding ``table`` as is (no checks);
+        the slots are filled through their descriptors, past the immutable
+        __setattr__."""
+        out = _new_poly(Polynomial)
+        _set_field(out, self.field)
+        _set_terms(out, table)
+        _set_nvars(out, self.nvars)
+        _set_neg(out, None)
         return out
 
     # -- construction helpers ----------------------------------------------
@@ -170,19 +172,20 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other):
-        s = self._coerce_scalar(other)
-        if s is NotImplemented:
-            return NotImplemented
-        if s is not None:
-            return self._with_terms(
-                {e: c * s for e, c in self.terms.items()} if s else {})
+        if type(other) is not Polynomial or other.field is not self.field \
+                or other.nvars != self.nvars:
+            s = self._coerce_scalar(other)
+            if s is NotImplemented:
+                return NotImplemented
+            if s is not None:
+                return self._with_terms(
+                    {e: c * s for e, c in self.terms.items()} if s else {})
         table = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(map(add, e1, e2))
-                prod = c1 * c2
                 prev = table.get(exps)
-                total = prod if prev is None else prev + prod
+                total = c1 * c2 if prev is None else prev.add_product(c1, c2)
                 if total:
                     table[exps] = total
                 elif prev is not None:
@@ -300,6 +303,13 @@ class Polynomial:
         return self.format()
 
     __repr__ = __str__
+
+
+_new_poly = object.__new__
+_set_field = Polynomial.field.__set__
+_set_terms = Polynomial.terms.__set__
+_set_nvars = Polynomial.nvars.__set__
+_set_neg = Polynomial._neg.__set__
 
 
 def fermat_cubic(field):

@@ -205,7 +205,7 @@ def _distinctness(catalog):
             report = pairwise_distinctness(mats)
         finally:
             equiv.scalar_equivalence = inner
-        _DISTINCTNESS[catalog] = (ids, report)
+        _DISTINCTNESS[catalog] = (ids, mats, report)
     return _DISTINCTNESS[catalog]
 
 
@@ -225,7 +225,7 @@ def _is_constant(M):
 
 
 def test_criterion_04_distinctness():
-    _, five = _distinctness("nonorientable_5gen")
+    _, _, five = _distinctness("nonorientable_5gen")
     assert _verdict_census(five) == (0, 0)
     assert _exact_noes("nonorientable_5gen")
     # The 432 four-generated listings present 216 modules (see the module
@@ -233,7 +233,7 @@ def test_criterion_04_distinctness():
     # the open pairs, and every open pair must carry an isomorphism of
     # the full matrices.  The witnessed pairs must match the listings up
     # exactly once each, so the 216 modules are pairwise distinct.
-    ids, four = _distinctness("nonorientable_4gen")
+    ids, mats, four = _distinctness("nonorientable_4gen")
     assert _verdict_census(four)[0] == 0
     assert _exact_noes("nonorientable_4gen")
     n = len(ids)
@@ -243,7 +243,6 @@ def test_criterion_04_distinctness():
     for rec in four.evidence:
         assert (rec["outcome"] == "not_equivalent"
                 or tuple(rec["pair"]) in open_pairs)
-    mats = four.representatives
     witnessed = []
     for i, j in four.inconclusive:
         verdict = scalar_equivalence(mats[i], mats[j])
@@ -262,7 +261,7 @@ def test_the_inconclusive_four_generated_pairs_are_the_u_swap_partners():
     # reduced-equivalent pairs and nothing else.  This test pins only
     # their parameter pattern; criterion 04 holds the full-matrix
     # witnesses for all 216.
-    ids, report = _distinctness("nonorientable_4gen")
+    ids, _, report = _distinctness("nonorientable_4gen")
     assert _verdict_census(report) == (0, 216)
     records = {tuple(rec["pair"]): rec for rec in report.evidence}
     partner_t = {1: 3, 2: 4, 3: 1, 4: 2}

@@ -150,6 +150,13 @@ def test_verify_needs_a_target(capsys):
     assert "verify needs" in err
 
 
+def test_verify_takes_all_or_one_family_not_both(capsys):
+    code, out, err = run(capsys, ["verify", "--all", "--family",
+                                  "alpha3:b=-1,c=-1,d=-1,eps=w"])
+    assert code == 2 and not out
+    assert "not allowed with argument" in err
+
+
 def test_malformed_family_ids_are_usage_errors(capsys):
     code, _, err = run(capsys, ["verify", "--family", "nope:a=1"])
     assert code == 2

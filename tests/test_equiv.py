@@ -1,4 +1,7 @@
+import gc
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,8 +24,9 @@ from fermatmf.families import (
     point_forms,
 )
 from fermatmf.field import omega_field, special_roots
-from fermatmf.matrix import MatrixError, PolyMatrix, determinant, field_rref
-from fermatmf.poly import Polynomial
+from fermatmf.matrix import (MatrixError, PolyMatrix, determinant, field_rref,
+                             minors)
+from fermatmf.poly import LINEAR_EXPS, Polynomial, grlex_key
 
 F = omega_field()
 W = F.gen("w")
@@ -358,6 +362,69 @@ def test_unknown_catalog_is_rejected():
         enumerate_classes("rank9")
 
 
+def _whole_matrix_key(M):
+    """The reduction key read off all of M, zero rows and columns
+    included: dense stack rows, and every minor of every level from one
+    ``minors`` table."""
+    n, m = M.nrows, M.ncols
+    coefficient = [[M.entries[i][j].coefficient(e) for j in range(m)]
+                   for i in range(n) for e in LINEAR_EXPS]
+    horiz = [sum(coefficient[4 * i:4 * i + 4], []) for i in range(n)]
+    vert = [coefficient[4 * i + v] for v in range(4) for i in range(n)]
+    size = min(n, m) - 1
+    levels = minors(M, size)
+    spans = []
+    for k in range(1, size + 1):
+        polys = list(levels[k].values())
+        support = sorted({e for p in polys for e in p.terms}, key=grlex_key)
+        if not support:
+            spans.append((k, "zero"))
+            continue
+        reduced, pivots = field_rref(
+            [[p.coefficient(e) for e in support] for p in polys], F)
+        spans.append((k, tuple(support), pivots,
+                      tuple(tuple(str(c) for c in reduced[row])
+                            for row in range(len(pivots)))))
+    return (len(field_rref(horiz, F)[1]), len(field_rref(vert, F)[1]),
+            tuple(spans))
+
+
+def _sparse_linear(rng, n, m, dead_rows=(), dead_cols=()):
+    """A seeded n x m matrix of linear forms, about half its entries zero,
+    with the given rows and columns all zero."""
+    coefficients = (1, -1, 2, W, -W, 1 + W, Fraction(1, 2), Fraction(-2, 3))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            terms = {}
+            if i not in dead_rows and j not in dead_cols \
+                    and rng.random() < 0.5:
+                for e in rng.sample(LINEAR_EXPS, rng.randint(1, 3)):
+                    terms[e] = rng.choice(coefficients)
+            row.append(Polynomial(F, terms))
+        rows.append(row)
+    return PolyMatrix(F, rows)
+
+
+def test_the_live_block_key_equals_the_whole_matrix_key():
+    rng = random.Random(1980)
+    cases = [PolyMatrix.zeros(F, 4),
+             _sparse_linear(rng, 3, 5, dead_rows=(0, 1, 2)),
+             _sparse_linear(rng, 4, 4, dead_rows=(0, 2, 3)),
+             _sparse_linear(rng, 5, 3, dead_rows=(0, 1, 3, 4)),
+             _sparse_linear(rng, 4, 5, dead_rows=(1,), dead_cols=(2,)),
+             _sparse_linear(rng, 5, 5, dead_rows=(1, 3), dead_cols=(2,))]
+    for n in range(2, 6):
+        for m in range(2, 6):
+            for _ in range(3):
+                dead_rows = rng.sample(range(n), rng.randint(0, n - 1))
+                dead_cols = rng.sample(range(m), rng.randint(0, 1))
+                cases.append(_sparse_linear(rng, n, m, dead_rows, dead_cols))
+    for M in cases:
+        assert equiv._reduction_key(M) == _whole_matrix_key(M)
+
+
 # -- pairwise sweeps ------------------------------------------------------------
 
 def test_duplicates_are_flagged_identical():
@@ -380,5 +447,10 @@ def test_distinct_family_members_are_separated():
     assert report.count == 8 and report.catalog == "8 matrices"
     assert all(set(record) == {"pair", "method", "outcome"}
                for record in report.evidence)
+    # the report keeps none of the matrices it compared
+    held = gc.get_referents(report)
+    held += [item for value in held if isinstance(value, tuple)
+             for item in value]
+    assert not any(item is M for item in held for M in mats)
 
 

@@ -164,6 +164,41 @@ def test_ring_axioms_randomized(F):
         assert x * (y + z) == x * y + x * z
 
 
+@pytest.mark.parametrize("F", [omega_field(), sextic_field()],
+                         ids=["omega", "sextic"])
+def test_add_product_is_the_sum_of_the_product(F):
+    rng = random.Random(2711)
+    fractional = 0
+    for _ in range(400):
+        s, a, b = (_random_element(F, rng) for _ in range(3))
+        fractional += s._den != 1 and a._den * b._den != 1
+        assert s.add_product(a, b) == s + a * b
+        # a sum that cancels is the shared zero
+        assert (-(a * b)).add_product(a, b) is F.zero()
+        assert (s - a * b).add_product(a, b) == s
+    assert fractional > 100
+    half = F(Fraction(1, 2))
+    for n in range(-64, 65):
+        # the denominators agree (4 and 2 * 2), then differ (3 and 2 * 3)
+        assert F(Fraction(4 * n - 3, 4)).add_product(
+            half, F(Fraction(3, 2))) is F(n)
+        assert F(Fraction(3 * n - 1, 3)).add_product(
+            half, F(Fraction(2, 3))) is F(n)
+    for _ in range(100):
+        nums = tuple(rng.choice((-1, 0, 1)) for _ in range(F.degree))
+        shared = F._element(nums)
+        a, b = _random_element(F, rng), _random_element(F, rng)
+        assert (shared - a * b).add_product(a, b) is shared
+
+
+def test_add_product_rejects_other_fields():
+    w, g = omega_field().gen("w"), sextic_field().gen("g")
+    with pytest.raises(TowerError):
+        w.add_product(g, w)
+    with pytest.raises(TowerError):
+        w.add_product(w, g)
+
+
 def _table_product(degree, table, x, y):
     # the reference: one pass over the structure constants
     out = [0] * degree
