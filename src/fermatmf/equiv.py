@@ -21,7 +21,7 @@ import itertools
 import random
 
 from .families import FamilyId, SigmaPerm
-from .field import FermatmfError, omega_field, special_roots
+from .field import FermatmfError, _Frozen, omega_field, special_roots
 from .matrix import (MatrixError, PolyMatrix, determinant, field_nullspace,
                      field_rref, minors)
 from .poly import LINEAR_EXPS, Polynomial, grlex_key
@@ -43,7 +43,7 @@ class EquivError(FermatmfError):
 
 # -- domain types ---------------------------------------------------------------
 
-class EquivalenceVerdict:
+class EquivalenceVerdict(_Frozen):
     """Outcome of one decision, with the certifying constant matrices.
 
     ``witness`` is a tuple of constant matrices, (U, V) for an
@@ -66,14 +66,11 @@ class EquivalenceVerdict:
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "detail", detail)
 
-    def __setattr__(self, *_):
-        raise AttributeError("EquivalenceVerdict is immutable")
-
     def __repr__(self):
         return "EquivalenceVerdict(%s, method=%s)" % (self.outcome, self.method)
 
 
-class ClassReport:
+class ClassReport(_Frozen):
     """A catalog enumeration or a sweep: how many were listed and what
     separates them.
 
@@ -96,9 +93,6 @@ class ClassReport:
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "evidence", tuple(evidence))
         object.__setattr__(self, "inconclusive", tuple(inconclusive))
-
-    def __setattr__(self, *_):
-        raise AttributeError("ClassReport is immutable")
 
     def __repr__(self):
         return "ClassReport(%s, count=%d)" % (self.catalog, self.count)

@@ -25,7 +25,7 @@ A partner name (a ``psi_*`` name, omega, nu or nubar) is, in
 
 from __future__ import annotations
 
-from .field import FermatmfError, TowerError, omega_field, rationals
+from .field import FermatmfError, TowerError, _Frozen, omega_field, rationals
 from .matrix import (
     MatrixFactorization,
     PolyMatrix,
@@ -44,15 +44,6 @@ class FamilyError(FermatmfError):
 
 
 # -- parameter types ------------------------------------------------------------
-
-class _Frozen:
-    """Immutable once ``__init__`` has set its slots."""
-
-    __slots__ = ()
-
-    def __setattr__(self, *_):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
 
 class SigmaPerm(_Frozen):
     """A permutation (i j s) of {2,3,4} with i < j; exactly three are legal."""
@@ -80,9 +71,6 @@ class SigmaPerm(_Frozen):
             raise FamilyError("sigma string must be three digits, got %r" % (text,))
         return cls(int(text[0]), int(text[1]), int(text[2]))
 
-    def __iter__(self):
-        return iter((self.i, self.j, self.s))
-
     def __eq__(self, other):
         if not isinstance(other, SigmaPerm):
             return NotImplemented
@@ -93,59 +81,6 @@ class SigmaPerm(_Frozen):
 
     def __repr__(self):
         return "SigmaPerm(%d, %d, %d)" % (self.i, self.j, self.s)
-
-
-class RootData(_Frozen):
-    """Field constants parameterizing the families.
-
-    ``a`` and ``b`` are cube roots of -1 and ``u`` is a primitive cube root of
-    unity; the optional ``c``, ``d``, ``eps`` serve the three-generated
-    families.  Each supplied value is validated on its own, and the joint
-    constraint b*c*d = eps*a is enforced once all five of a,b,c,d,eps are
-    present.
-    """
-
-    __slots__ = ("field", "a", "b", "u", "c", "d", "eps")
-
-    def __init__(self, field, a=None, b=None, u=None, c=None, d=None, eps=None):
-        def cube_root_of_minus_one(name, value):
-            if value is None:
-                return None
-            value = field(value)
-            if value ** 3 != -1:
-                raise FamilyError("%s must satisfy %s^3 = -1" % (name, name))
-            return value
-
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", cube_root_of_minus_one("a", a))
-        object.__setattr__(self, "b", cube_root_of_minus_one("b", b))
-        object.__setattr__(self, "c", cube_root_of_minus_one("c", c))
-        object.__setattr__(self, "d", cube_root_of_minus_one("d", d))
-        if u is not None:
-            u = field(u)
-            if u * u + u + 1 != 0:
-                raise FamilyError("u must satisfy u^2 + u + 1 = 0")
-        object.__setattr__(self, "u", u)
-        if eps is not None:
-            eps = field(eps)
-            if eps ** 3 != 1 or eps == 1:
-                raise FamilyError("eps must be a primitive cube root of unity")
-        object.__setattr__(self, "eps", eps)
-        present = (self.a, self.b, self.c, self.d, self.eps)
-        if all(v is not None for v in present):
-            if self.b * self.c * self.d != self.eps * self.a:
-                raise FamilyError("constraint b*c*d = eps*a violated")
-
-    def require(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                raise FamilyError("missing root parameter %r" % name)
-
-    def __repr__(self):
-        parts = ["%s=%s" % (n, getattr(self, n))
-                 for n in ("a", "b", "u", "c", "d", "eps")
-                 if getattr(self, n) is not None]
-        return "RootData(%s)" % ", ".join(parts)
 
 
 class _Point(_Frozen):
@@ -371,41 +306,47 @@ def _variables(field):
     return x
 
 
+def _root(field, name, value):
+    """``value`` in ``field``, checked as the root the listings call
+    ``name``: u a root of u^2 + u + 1, eps a primitive cube root of unity,
+    and every other name (a, b, c, d) a cube root of -1."""
+    value = field(value)
+    if name == "u":
+        if value * value + value + 1 != 0:
+            raise FamilyError("u must satisfy u^2 + u + 1 = 0")
+    elif name == "eps":
+        if value ** 3 != 1 or value == 1:
+            raise FamilyError("eps must be a primitive cube root of unity")
+    elif value ** 3 != -1:
+        raise FamilyError("%s must satisfy %s^3 = -1" % (name, name))
+    return value
+
+
 # building_blocks' memo: one checked FormSet per (tower, sigma, a, b, u)
 _FORM_SETS = {}
 
 
-def building_blocks(sigma, r):
+def building_blocks(field, sigma, a, b, u):
     """The eight sigma-forms w1, w2, v1, v2 and the linear factors of v1, v2.
 
-    Checks the splitting identity f = w1*v1 + w2*v2 and the factorizations
+    Checks sigma and the roots a, b, u (``_root``) on every call, and the
+    splitting identity f = w1*v1 + w2*v2 and the factorizations
     v_t = v_t' * v_t'' the first time a (tower, sigma, a, b, u) is asked
-    for, and from then on returns that same immutable FormSet, so every
+    for; from then on it returns that same immutable FormSet, so every
     family built on the same data shares its form objects (the 432
     four-generated and 162 five-generated listings draw on 54 form sets),
     which keeps the memory of long sweeps low.  The memo needs no limit:
-    RootData admits three cube roots of -1 for each of a and b and two
+    ``_root`` admits three cube roots of -1 for each of a and b and two
     primitive cube roots of unity for u, and there are three sigma, so a
     tower has at most 3 * 3 * 2 * 3 = 54 keys.
     """
     if not isinstance(sigma, SigmaPerm):
         raise FamilyError("sigma must be a SigmaPerm")
-    r.require("a", "b", "u")
-    key = (r.field, sigma, r.a, r.b, r.u)
+    a, b, u = _root(field, "a", a), _root(field, "b", b), _root(field, "u", u)
+    key = (field, sigma, a, b, u)
     forms = _FORM_SETS.get(key)
-    if forms is None:
-        forms = _FORM_SETS[key] = _sigma_forms(sigma, r.field, r.a, r.b, r.u)
-    return forms
-
-
-def _split(var, coeff, unit):
-    """The pair (var - coeff*unit, var^2 + coeff*var*unit + coeff^2*unit^2),
-    whose product is var^3 - coeff^3*unit^3."""
-    return (var - coeff * unit,
-            var * var + coeff * var * unit + (coeff * coeff) * unit * unit)
-
-
-def _sigma_forms(sigma, field, a, b, u):
+    if forms is not None:
+        return forms
     x = _variables(field)
     x1, xi, xj, xs = x[0], x[sigma.i - 1], x[sigma.j - 1], x[sigma.s - 1]
     w1, v1 = _split(x1, a, xs)
@@ -418,8 +359,16 @@ def _sigma_forms(sigma, field, a, b, u):
         raise FamilyError("splitting identity w1*v1 + w2*v2 = f failed")
     if v1 != v1p * v1pp or v2 != v2p * v2pp:
         raise FamilyError("factor identity v = v'*v'' failed")
-    return FormSet(field, w1=w1, w2=w2, v1=v1, v2=v2,
-                   v1p=v1p, v1pp=v1pp, v2p=v2p, v2pp=v2pp)
+    forms = _FORM_SETS[key] = FormSet(field, w1=w1, w2=w2, v1=v1, v2=v2,
+                                      v1p=v1p, v1pp=v1pp, v2p=v2p, v2pp=v2pp)
+    return forms
+
+
+def _split(var, coeff, unit):
+    """The pair (var - coeff*unit, var^2 + coeff*var*unit + coeff^2*unit^2),
+    whose product is var^3 - coeff^3*unit^3."""
+    return (var - coeff * unit,
+            var * var + coeff * var * unit + (coeff * coeff) * unit * unit)
 
 
 def point_forms(lam):
@@ -498,8 +447,8 @@ def _slot_instance(name, sigma, fs, beta=None):
 def _sigma_pair(fid, row, beta=None):
     """Slot row ``row`` filled from the form set of the id's (sigma, a, b, u)."""
     p = fid.params
-    r = RootData(fid.field, a=p["a"], b=p["b"], u=p["u"])
-    return _slot_instance(row, p["sigma"], building_blocks(p["sigma"], r), beta)
+    fs = building_blocks(fid.field, p["sigma"], p["a"], p["b"], p["u"])
+    return _slot_instance(row, p["sigma"], fs, beta)
 
 
 def _by_invariant(phi, psi, value, f, name, what):
@@ -523,11 +472,11 @@ def _rank1_3gen(fid):
     field, name, p = fid.field, fid.name, fid.params
     x1, x2, x3, x4 = _variables(field)
     if name in ("alpha3", "beta3"):
-        # eps first: a = b*c*d/eps needs eps != 0
-        eps = RootData(field, eps=p["eps"]).eps
-        r = RootData(field, a=p["b"] * p["c"] * p["d"] / eps, b=p["b"],
-                     c=p["c"], d=p["d"], eps=eps)
-        a, b, c, d = r.a, r.b, r.c, r.d
+        # eps first: a = b*c*d/eps needs eps != 0, and is then a cube
+        # root of -1 because b, c and d are
+        eps = _root(field, "eps", p["eps"])
+        b, c, d = (_root(field, n, p[n]) for n in "bcd")
+        a = b * c * d / eps
         phi = PolyMatrix(field, [
             [0,
              x1 - a * x4,
@@ -542,14 +491,14 @@ def _rank1_3gen(fid):
         if name == "beta3":
             phi = phi.transpose()
     else:
-        r = RootData(field, a=p["a"], b=p["b"], c=p["c"], eps=p.get("eps"))
-        a, b, c = r.a, r.b, r.c
+        a, b, c = (_root(field, n, p[n]) for n in "abc")
+        eps = _root(field, "eps", p["eps"]) if name == "eta3" else None
         if a == b or a == c or b == c:
             raise FamilyError("(a, b, c) must be pairwise distinct")
         # one display on l_k = x1 + e_k*y and m_k = z - r_k*x4, with slots
         # (y | z) = (x2 | x3) for eta3 and (x3 | x2) for theta3
         if name == "eta3":
-            y, z, e2, e3 = x2, x3, r.eps, r.eps * r.eps
+            y, z, e2, e3 = x2, x3, eps, eps * eps
         else:
             y, z, e2, e3 = x3, x2, -(a * a * b), -(a * b * b)
         l1, l2, l3 = x1 + y, x1 + e2 * y, x1 + e3 * y

@@ -51,6 +51,16 @@ class NotInvertibleError(ArithmeticError):
     the tower is not irreducible over the level below it."""
 
 
+class _Frozen:
+    """The base of every value type: immutable once ``__init__`` has set
+    its slots through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 _TOWER_CACHE = {}
 
 # Inverses are memoised per tower; the memo is emptied when it reaches this
@@ -270,7 +280,7 @@ def _nest(coeffs, degrees):
                  for i in range(0, len(coeffs), stride))
 
 
-class FieldElement:
+class FieldElement(_Frozen):
     """An exact element of a NumberField; immutable and canonical.
 
     ``_nums`` holds the integer numerators and ``_den`` the positive common
@@ -278,9 +288,6 @@ class FieldElement:
     """
 
     __slots__ = ("field", "_nums", "_den")
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldElement is immutable")
 
     def _fractions(self):
         den = self._den
@@ -571,8 +578,7 @@ def sextic_field():
 class RootTable:
     """The cube roots that parameterize the families."""
 
-    def __init__(self, omega, roots_of_minus_one, primitive_cube_roots):
-        self.omega = omega
+    def __init__(self, roots_of_minus_one, primitive_cube_roots):
         self.roots_of_minus_one = roots_of_minus_one
         self.primitive_cube_roots = primitive_cube_roots
 
@@ -588,7 +594,6 @@ def special_roots(field):
     w = field.gen("w")
     one = field.one()
     return RootTable(
-        omega=w,
         roots_of_minus_one=(-one, -w, -w * w),
         primitive_cube_roots=(w, w * w),
     )

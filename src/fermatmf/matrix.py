@@ -23,7 +23,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
-from .field import FermatmfError, FieldElement, TowerError
+from .field import FermatmfError, FieldElement, TowerError, _Frozen
 from .poly import MAX_POWER_DEGREE, NVARS, Polynomial, TermBudget, parse
 
 # the largest n for which determinant and pfaffian expand an n x n matrix;
@@ -35,7 +35,7 @@ class MatrixError(FermatmfError):
     pass
 
 
-class PolyMatrix:
+class PolyMatrix(_Frozen):
     """An immutable rectangular matrix of polynomials over one field, all in
     one ring of ``nvars`` variables.
 
@@ -82,9 +82,6 @@ class PolyMatrix:
         object.__setattr__(self, "nrows", len(entries))
         object.__setattr__(self, "ncols", width)
         object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, *_):
-        raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
     def zeros(cls, field, n):
@@ -385,7 +382,7 @@ def pfaffian_vector(d2):
     return out
 
 
-class MatrixFactorization:
+class MatrixFactorization(_Frozen):
     """A pair (phi, psi) with phi*psi = psi*phi = f*Id.
 
     The type itself checks nothing: whoever builds one has certified the
@@ -401,9 +398,6 @@ class MatrixFactorization:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "f", f)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MatrixFactorization is immutable")
 
     @property
     def size(self):

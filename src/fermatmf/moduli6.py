@@ -30,7 +30,7 @@ from .families import (
     build_six_gen,
     transport_matrices,
 )
-from .field import FermatmfError
+from .field import FermatmfError, _Frozen
 from .matrix import (
     PolyMatrix,
     adjugate,
@@ -218,7 +218,7 @@ def linear_system_nullity(lam):
 
 # -- certified points ------------------------------------------------------------
 
-class ModuliPoint:
+class ModuliPoint(_Frozen):
     """A curve point together with a Gamma block, certified on construction.
 
     ``certified`` is computed, never supplied: it holds exactly when
@@ -235,9 +235,6 @@ class ModuliPoint:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "certified", certified)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ModuliPoint is immutable")
 
     @property
     def field(self):
@@ -424,9 +421,7 @@ def group_action(kind, lam, mat, k=None, coeffs=None):
     coeffs = (K1, K2, K3, K4) with K1*K4 - K2*K3 = 1.
     """
     field = _affine_field(lam)
-    if not isinstance(mat, PolyMatrix):
-        raise ModuliError("the action applies to a 6x6 matrix")
-    if mat.nrows != 6 or mat.ncols != 6:
+    if not isinstance(mat, PolyMatrix) or mat.nrows != 6 or mat.ncols != 6:
         raise ModuliError("the action applies to a 6x6 matrix")
     if kind == "Uk":
         if k is None:
@@ -491,9 +486,8 @@ def decompose_if_gamma_zero(mat):
     bottom = -top^t.  Returns None when either corner carries an x4 term.
     Raises on input that is not a skew 6x6 matrix of linear forms.
     """
-    if not isinstance(mat, PolyMatrix) or mat.nrows != 6 or mat.ncols != 6:
-        raise ModuliError("expected a skew 6x6 pencil")
-    if not mat.is_skew():
+    if (not isinstance(mat, PolyMatrix) or mat.nrows != 6 or mat.ncols != 6
+            or not mat.is_skew()):
         raise ModuliError("expected a skew 6x6 pencil")
     for i in range(6):
         for j in range(6):

@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .field import FermatmfError, FieldElement, TowerError, format_sum, power
+from .field import (FermatmfError, FieldElement, TowerError, _Frozen,
+                    format_sum, power)
 
 NVARS = 4
 # the exponent tuples of x1..x4: every variable, and so every linear term
@@ -45,7 +46,7 @@ class UnknownVariableError(ParseError):
     pass
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """An immutable sparse polynomial over a fixed NumberField in ``nvars``
     variables.
 
@@ -72,9 +73,6 @@ class Polynomial:
         object.__setattr__(self, "terms", table)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_neg", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Polynomial is immutable")
 
     def _with_terms(self, table):
         """A polynomial in this ring holding ``table`` as is (no checks);

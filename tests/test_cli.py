@@ -181,6 +181,20 @@ def test_eps_zero_reports_like_any_eps_that_is_no_root(capsys):
         assert err == "error: eps must be a primitive cube root of unity\n"
 
 
+@pytest.mark.parametrize("fid, detail", [
+    ("alpha3:b=1,c=-1,d=-1,eps=w", "b must satisfy b^3 = -1"),
+    ("beta3:b=-1,c=2,d=-1,eps=w", "c must satisfy c^3 = -1"),
+])
+def test_a_root_that_is_no_root_is_named_by_its_own_key(capsys, fid, detail):
+    # a = b*c*d/eps is derived from checked roots, so the report names the
+    # key of the id, never the derived a
+    code, data = run_json(capsys, ["verify", "--family", fid])
+    assert code == 1
+    record = data["checks"][0]
+    assert record["outcome"] == "fail"
+    assert record["detail"] == detail
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--catalog", "rank2_3gen"],
     ["verify", "--all"],

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from fermatmf.equiv import (
 )
 from fermatmf.families import (
     FamilyId,
-    RootData,
     SigmaPerm,
     SurfacePoint,
     building_blocks,
@@ -34,7 +34,9 @@ ROOTS = special_roots(F)
 CUBE_ROOTS = ROOTS.roots_of_minus_one
 PRIMITIVE = ROOTS.primitive_cube_roots
 SIGMA = SigmaPerm(2, 3, 4)
-R = RootData(F, a=-1, b=-W, u=W)
+# the roots (a, b, u) of one sigma listing
+Roots = namedtuple("Roots", "a b u")
+R = Roots(-1, -W, W)
 
 
 def x(i):
@@ -75,7 +77,7 @@ def test_reduction_of_phi_1_kills_the_last_two_rows():
     for i in (2, 3):
         for j in range(4):
             assert not tilde[i, j]
-    assert tilde[0, 1] == building_blocks(SIGMA, R).w1
+    assert tilde[0, 1] == building_blocks(F, SIGMA, *R).w1
 
 
 def test_reduction_of_psi_1_kills_the_first_two_columns():
@@ -113,7 +115,7 @@ def test_phi_lambda_span_is_the_point_forms():
 
 
 def test_phi_sigma_span_is_w1_w2():
-    fs = building_blocks(SIGMA, R)
+    fs = building_blocks(F, SIGMA, *R)
     assert _linear_span(_phi("phi_sigma")) == _rref_span([fs.w1, fs.w2])
 
 
@@ -158,8 +160,8 @@ def test_phi_1_and_psi_3_collide_under_the_u_swap():
     u = PRIMITIVE[0]
     for a in CUBE_ROOTS:
         for b in CUBE_ROOTS:
-            phi = _phi("phi_t_sigma", RootData(F, a=a, b=b, u=u), t=1)
-            psi = _phi("psi_t_sigma", RootData(F, a=a, b=b, u=u * u), t=3)
+            phi = _phi("phi_t_sigma", Roots(a, b, u), t=1)
+            psi = _phi("psi_t_sigma", Roots(a, b, u * u), t=3)
             left = linear_reduction(phi)
             right = linear_reduction(psi)
             assert U0 * left == right * V0
@@ -175,7 +177,7 @@ def test_the_u_swap_collision_extends_to_the_full_matrices():
     constant pair does work there, so the two slots present isomorphic
     modules and the 432-member catalog genuinely overcounts."""
     phi = _phi("phi_t_sigma", t=1)
-    psi = _phi("psi_t_sigma", RootData(F, a=-1, b=-W, u=W * W), t=3)
+    psi = _phi("psi_t_sigma", Roots(-1, -W, W * W), t=3)
     verdict = scalar_equivalence(phi, psi)
     assert verdict.outcome == "equivalent_with_witness"
     U, V = verdict.witness
@@ -187,7 +189,7 @@ def test_rho_does_not_collide_under_the_u_swap():
     # unlike the four generator displays, the five generator ones keep the
     # two primitive cube roots apart -- at both the full and reduced level
     rho_u = _phi("rho")
-    rho_uu = _phi("rho", RootData(F, a=-1, b=-W, u=W * W))
+    rho_uu = _phi("rho", Roots(-1, -W, W * W))
     assert scalar_equivalence(rho_u, rho_uu).outcome == "not_equivalent"
     reduced = scalar_equivalence(linear_reduction(rho_u),
                                  linear_reduction(rho_uu))
@@ -256,7 +258,7 @@ def test_a_wide_singular_space_is_inconclusive():
 # -- bounded-degree matrix equations --------------------------------------------
 
 def _corner_blocks():
-    fs = building_blocks(SIGMA, R)
+    fs = building_blocks(F, SIGMA, *R)
     xj, xs = x(SIGMA.j), x(SIGMA.s)
     left = PolyMatrix(F, [[fs.w1, -fs.v2], [fs.w2, fs.v1]])
     right = PolyMatrix(F, [[fs.v1, fs.v2], [-fs.w2, fs.w1]])
@@ -272,7 +274,7 @@ def test_the_corner_block_equation_is_unsolvable():
 
 
 def test_the_t1_block_equation_is_unsolvable():
-    fs = building_blocks(SIGMA, R)
+    fs = building_blocks(F, SIGMA, *R)
     xs = x(SIGMA.s)
     left = PolyMatrix(F, [[fs.w2, -fs.w1], [fs.v1, fs.v2]])
     right = PolyMatrix(F, [[fs.w1, fs.v2pp], [-fs.w2 * fs.v2p, fs.v1]])

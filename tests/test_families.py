@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import namedtuple
 
 import pytest
 
@@ -9,7 +10,6 @@ from fermatmf.families import (
     FamilyId,
     FormSet,
     GammaBlock,
-    RootData,
     SigmaPerm,
     SurfacePoint,
     build_curve_alpha,
@@ -20,6 +20,7 @@ from fermatmf.families import (
     transport_matrices,
     _FAMILIES,
     _PARTNERS,
+    _root,
     _slot_instance,
 )
 from fermatmf.equiv import enumerate_classes
@@ -45,6 +46,8 @@ CUBE_ROOTS = ROOTS.roots_of_minus_one          # -1, -w, -w^2
 PRIMITIVE = ROOTS.primitive_cube_roots         # w, w^2
 f = fermat_cubic(F)
 f3 = fermat_cubic3(F)
+# the roots (a, b, u) of one sigma listing
+Roots = namedtuple("Roots", "a b u")
 
 
 def literal(mf):
@@ -62,7 +65,7 @@ def build(name, **params):
 
 
 def sigma_build(name, sigma, r, **params):
-    """``build`` on sigma and the roots a, b, u of ``r``."""
+    """``build`` on sigma and the Roots ``r``."""
     return build(name, sigma=sigma, a=r.a, b=r.b, u=r.u, **params)
 
 
@@ -72,14 +75,15 @@ def _root_sweep():
         for a in CUBE_ROOTS:
             for b in CUBE_ROOTS:
                 for u in PRIMITIVE:
-                    yield sigma, RootData(F, a=a, b=b, u=u)
+                    yield sigma, Roots(a, b, u)
 
 
 # -- parameter types ------------------------------------------------------------
 
 def test_sigma_legal_values():
     assert len(SigmaPerm.all()) == 3
-    assert tuple(SigmaPerm(2, 4, 3)) == (2, 4, 3)
+    s = SigmaPerm(2, 4, 3)
+    assert (s.i, s.j, s.s) == (2, 4, 3)
     assert SigmaPerm.from_string("342") == SigmaPerm(3, 4, 2)
     with pytest.raises(FamilyError):
         SigmaPerm(3, 2, 4)  # i < j violated
@@ -91,17 +95,16 @@ def test_sigma_legal_values():
 
 
 def test_root_data_validation():
-    r = RootData(F, a=-W, b=-1, u=W)
-    assert r.a == -W and r.u == W
-    with pytest.raises(FamilyError):
-        RootData(F, a=2)  # not a cube root of -1
-    with pytest.raises(FamilyError):
-        RootData(F, u=1)  # not primitive
-    with pytest.raises(FamilyError):
-        RootData(F, eps=1)
-    with pytest.raises(FamilyError):
-        # joint constraint: b*c*d = eps*a
-        RootData(F, a=-1, b=-1, c=-1, d=-1, eps=W)
+    # each root is checked by its own name, and comes back in the field
+    assert _root(F, "a", -W) == -W and _root(F, "u", W) == W
+    assert _root(F, "b", -1) == F(-1)
+    with pytest.raises(FamilyError, match=r"^a must satisfy a\^3 = -1$"):
+        _root(F, "a", 2)  # not a cube root of -1
+    with pytest.raises(FamilyError, match=r"^u must satisfy u\^2 \+ u \+ 1"):
+        _root(F, "u", 1)  # not primitive
+    with pytest.raises(FamilyError,
+                       match="^eps must be a primitive cube root of unity$"):
+        _root(F, "eps", 1)
 
 
 def test_surface_point_charts():
@@ -142,7 +145,7 @@ def test_curve_point_duality_is_an_involution():
 # -- form sets -------------------------------------------------------------------
 
 def test_building_blocks_at_the_standard_instance():
-    fs = building_blocks(SigmaPerm(2, 3, 4), RootData(F, a=-1, b=-1, u=W))
+    fs = building_blocks(F, SigmaPerm(2, 3, 4), -1, -1, W)
     assert fs.w1 == x(1) + x(4)
     assert fs.w2 == x(2) + x(3)
     assert fs.v1 == x(1) ** 2 - x(1) * x(4) + x(4) ** 2
@@ -152,21 +155,21 @@ def test_building_blocks_at_the_standard_instance():
 
 def test_building_blocks_split_f_everywhere():
     for sigma, r in _root_sweep():
-        fs = building_blocks(sigma, r)
+        fs = building_blocks(F, sigma, *r)
         assert fs.w1 * fs.v1 + fs.w2 * fs.v2 == f
         assert fs.v1p * fs.v1pp == fs.v1
         assert fs.v2p * fs.v2pp == fs.v2
 
 
 def test_repeated_builds_share_their_forms():
-    # one checked FormSet per (tower, sigma, a, b, u): separately built
-    # RootData with equal values give the same forms, and the displays built
-    # on them share the forms, the variables and their negations
+    # one checked FormSet per (tower, sigma, a, b, u): separately given
+    # equal roots give the same forms, and the displays built on them
+    # share the forms, the variables and their negations
     sigma = SigmaPerm(2, 3, 4)
-    first = building_blocks(sigma, RootData(F, a=-1, b=-W, u=W))
-    second = building_blocks(SigmaPerm(2, 3, 4), RootData(F, a=-1, b=-W, u=W))
+    first = building_blocks(F, sigma, -1, -W, W)
+    second = building_blocks(F, SigmaPerm(2, 3, 4), F(-1), -W, W)
     assert second is first and second.w1 is first.w1
-    assert building_blocks(sigma, RootData(F, a=-1, b=-W, u=W * W)) is not first
+    assert building_blocks(F, sigma, -1, -W, W * W) is not first
     one = build("phi_t_sigma", t=1, sigma=sigma, a=-1, b=-W, u=W).phi
     two = build("phi_t_sigma", t=1, sigma=sigma, a=-1, b=-W, u=W).phi
     assert one[0, 1] is two[0, 1] is first.w1
@@ -176,11 +179,10 @@ def test_repeated_builds_share_their_forms():
 
 
 def test_building_blocks_check_their_input_before_the_memo():
-    r = RootData(F, a=-1, b=-W, u=W)
-    with pytest.raises(FamilyError):
-        building_blocks((2, 3, 4), r)
-    with pytest.raises(FamilyError):
-        building_blocks(SigmaPerm(2, 3, 4), RootData(F, a=-1, b=-W))
+    with pytest.raises(FamilyError, match="^sigma must be a SigmaPerm$"):
+        building_blocks(F, (2, 3, 4), -1, -W, W)
+    with pytest.raises(FamilyError, match="^u must satisfy"):
+        building_blocks(F, SigmaPerm(2, 3, 4), -1, -W, 1)
 
 
 def test_form_set_rejects_unknown_names():
@@ -267,9 +269,9 @@ def test_phi_lambda_is_skew_with_pfaffian_f():
 
 def test_phi_sigma_entries_and_beta_slot():
     sigma = SigmaPerm(2, 3, 4)
-    r = RootData(F, a=-1, b=-1, u=W)
+    r = Roots(-1, -1, W)
     mf = literal(sigma_build("phi_sigma", sigma, r))
-    fs = building_blocks(sigma, r)
+    fs = building_blocks(F, sigma, *r)
     assert mf.phi[1, 3] == fs.w2
     assert mf.phi[1, 2] == -x(3) * x(4)  # the default slot x_j*x_s
     assert pfaffian(mf.phi) == f
@@ -290,8 +292,8 @@ def test_orientable_4gen_sweep():
 
 def test_nonorientable_entry_oracles():
     sigma = SigmaPerm(2, 3, 4)
-    r = RootData(F, a=-1, b=-1, u=W)
-    fs = building_blocks(sigma, r)
+    r = Roots(-1, -1, W)
+    fs = building_blocks(F, sigma, *r)
     mf = sigma_build("phi_t_sigma", sigma, r, t=1)
     assert mf.phi[0, 1] == fs.w1 == x(1) + x(4)
     mf = sigma_build("psi_t_sigma", sigma, r, t=3)
@@ -316,8 +318,8 @@ def test_nonorientable_full_sweep_432():
 
 def test_5gen_entry_oracles():
     sigma = SigmaPerm(2, 3, 4)
-    r = RootData(F, a=-1, b=-1, u=W)
-    fs = building_blocks(sigma, r)
+    r = Roots(-1, -1, W)
+    fs = building_blocks(F, sigma, *r)
     mf = sigma_build("rho", sigma, r)
     assert mf.phi[0, 3] == -x(3)  # -x_j
     mf = sigma_build("mu", sigma, r, normalized=False)
@@ -353,7 +355,7 @@ def test_omega_sign_correction_is_forced():
     # flipping the [3,2] entry back to the uncorrected sign must break the
     # product identity, in both variants, which is why ERRATA.md exists
     sigma = SigmaPerm(2, 3, 4)
-    r = RootData(F, a=-1, b=-1, u=W)
+    r = Roots(-1, -1, W)
     for normalized in (True, False):
         mf = sigma_build("rho", sigma, r, normalized=normalized)
         rows = [list(row) for row in mf.psi.entries]
@@ -656,7 +658,7 @@ def test_a_flipped_display_entry_fails_its_row_proof(monkeypatch):
     display, slots, order = families._SLOT_ROWS["rho"]
     monkeypatch.setitem(families._SLOT_ROWS, "rho", (flipped, slots, order))
     sigma = SigmaPerm(2, 3, 4)
-    r = RootData(F, a=-1, b=-1, u=W)
+    r = Roots(-1, -1, W)
     with pytest.raises(FamilyError) as err:
         sigma_build("rho", sigma, r)
     assert str(err.value) == (
