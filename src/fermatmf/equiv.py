@@ -264,73 +264,6 @@ def scalar_equivalence(A, B):
     return _decide_blocks(A, B, _intertwiner_basis(A, B))
 
 
-# -- bounded-degree matrix equations --------------------------------------------
-
-def _monomials_up_to(bound):
-    exps = [e for e in itertools.product(range(bound + 1), repeat=4)
-            if sum(e) <= bound]
-    return sorted(exps, key=grlex_key)
-
-
-def matrix_equation_solvable(W, V, C, degree_bound):
-    """Decide W*A + B*V = C for unknown A, B of entry degree <= the bound.
-
-    Pure linear algebra on the unknown coefficients.  Returns
-    (True, (A, B)) with the identity re-checked exactly, or (False, None).
-    """
-    field = W.field
-    if V.field is not field or C.field is not field:
-        raise EquivError("matrices over different fields")
-    if degree_bound < 0:
-        raise EquivError("degree bound must be >= 0")
-    if W.nrows != C.nrows or V.ncols != C.ncols:
-        raise MatrixError("dimension mismatch in W*A + B*V = C")
-    m, p = W.nrows, W.ncols
-    q, r = V.nrows, V.ncols
-    monos = _monomials_up_to(degree_bound)
-    nm = len(monos)
-    na = p * r * nm
-    # the unknown A[k][j] is sum_t a_(k,j,t) * mu_t, so W[i][k]*A[k][j]
-    # pairs a_(k,j,t) with W[i][k]*mu_t; B*V likewise
-    shifts = [Polynomial(field, {mu: 1}) for mu in monos]
-    w_shifted = [[[W.entries[i][k] * mu for mu in shifts] for k in range(p)]
-                 for i in range(m)]
-    v_shifted = [[[V.entries[l][j] * mu for mu in shifts] for j in range(r)]
-                 for l in range(q)]
-
-    def a_index(k, j, t):
-        return (k * r + j) * nm + t
-
-    def b_index(i, l, t):
-        return na + (i * q + l) * nm + t
-
-    nunknowns = na + m * q * nm
-    equations = [[(a_index(k, j, t), w_shifted[i][k][t])
-                  for k in range(p) for t in range(nm)]
-                 + [(b_index(i, l, t), v_shifted[l][j][t])
-                    for l in range(q) for t in range(nm)]
-                 + [(nunknowns, C.entries[i][j])]
-                 for i in range(m) for j in range(r)]
-    rows = _coefficient_rows(equations)
-    reduced, pivots = field_rref(rows, field, nunknowns + 1)
-    if nunknowns in pivots:
-        return False, None
-    solution = [field.zero()] * nunknowns
-    for row_idx, col in enumerate(pivots):
-        solution[col] = reduced[row_idx][nunknowns]
-    A = PolyMatrix(field, [
-        [Polynomial(field, {mu: solution[a_index(k, j, t)]
-                            for t, mu in enumerate(monos)})
-         for j in range(r)] for k in range(p)])
-    B = PolyMatrix(field, [
-        [Polynomial(field, {mu: solution[b_index(i, l, t)]
-                            for t, mu in enumerate(monos)})
-         for l in range(q)] for i in range(m)])
-    if W * A + B * V != C:
-        raise AssertionError("internal solution check failed")
-    return True, (A, B)
-
-
 # -- catalogs -------------------------------------------------------------------
 
 def enumerate_classes(catalog, field=None):
@@ -459,14 +392,21 @@ def pairwise_distinctness(reps):
     Only the sound direction is claimed: "not_equivalent" comes either
     from differing invariants of the reductions (stack ranks, minor
     coefficient spans -- the reduced_shape method) or from an exact
-    scalar_equivalence verdict on the reductions.  Pairs whose
-    reductions turn out equivalent say nothing about the originals and
-    are reported inconclusive, as are literal duplicates
-    (identical_params).  The report is labelled "<n> matrices" and
-    holds its count, evidence and inconclusive pairs, but no reference
-    to ``reps``; the command line spells reports, this module returns
+    scalar_equivalence verdict on the reductions.  On minimal input that
+    rules out equivalence over k[[x]] (Eisenbud, Trans. AMS 260, 1980);
+    a matrix with a unit entry is not minimal and raises EquivError.
+    Pairs whose reductions turn out equivalent say nothing about the
+    originals and are reported inconclusive, as are literal duplicates
+    (identical_params).  The report is labelled "<n> matrices" and holds
+    its count, evidence and inconclusive pairs, but no reference to
+    ``reps``; the command line spells reports, this module returns
     records.
     """
+    for M in reps:
+        unit = (0,) * M.nvars
+        if any(unit in entry.terms for row in M.entries for entry in row):
+            raise EquivError("not a minimal matrix: an entry has a nonzero "
+                             "constant term")
     tilde = [linear_reduction(M) for M in reps]
     group = {}
     gid = []

@@ -25,6 +25,8 @@ A partner name (a ``psi_*`` name, omega, nu or nubar) is, in
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .field import FermatmfError, TowerError, _Frozen, omega_field, rationals
 from .matrix import (
     MatrixFactorization,
@@ -138,8 +140,9 @@ class CurvePoint(_Point):
     excluded point P0 = [-1:0:1] rejected.
 
     In the affine chart the auxiliary constant ``e`` = b^2/(a+1) is derived
-    (a = -1 only happens at P0, so the quotient always exists) and satisfies
-    e*b = -(a^2 - a + 1) and e*(a+1) = b^2.
+    (a = -1 only happens at P0, so the quotient always exists); e*(a+1) =
+    b^2 and e*b = -(a^2 - a + 1) both follow from the curve equation
+    b^3 = -(a^3 + 1) = -(a+1)*(a^2 - a + 1).
     """
 
     __slots__ = ("field", "coords", "chart", "e")
@@ -163,8 +166,6 @@ class CurvePoint(_Point):
         if chart == 3:
             a, b = coords[0], coords[1]
             e = b * b / (a + 1)
-            if e * b != -(a * a - a + 1) or e * (a + 1) != b * b:
-                raise FamilyError("inconsistent auxiliary constant e")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "chart", chart)
@@ -851,7 +852,8 @@ class FamilyId(_Frozen):
 
     The value grammar reuses field literals; multi-component values (points,
     gamma constants) join their components with ``:``.  Formatting is
-    canonical, so equal ids have equal strings.
+    canonical, so equal ids have equal strings; ``params`` is a read-only
+    mapping, so an id keeps its string and hash.
     """
 
     __slots__ = ("field", "name", "params")
@@ -870,7 +872,7 @@ class FamilyId(_Frozen):
             raise FamilyError("unknown parameters for %s: %s" % (name, sorted(extra)))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", dict(params))
+        object.__setattr__(self, "params", MappingProxyType(dict(params)))
 
     @classmethod
     def parse(cls, field, text):

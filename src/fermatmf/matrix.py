@@ -1,6 +1,6 @@
 """Dense small matrices over Polynomial: determinant, adjugate, Pfaffians,
-and the matrix-factorization identity check, which returns the certified
-pair or raises a MatrixError naming every residual entry.
+and the literal matrix-factorization check ``slot_residuals``, which names
+every nonzero entry of phi*psi - f*Id.
 
 Everything here is exact.  Sizes stay at 8 or below (``determinant`` and
 ``pfaffian`` refuse larger input), so determinants, minors and adjugates
@@ -386,11 +386,12 @@ class MatrixFactorization(_Frozen):
     """A pair (phi, psi) with phi*psi = psi*phi = f*Id.
 
     The type itself checks nothing: whoever builds one has certified the
-    pair, by one of the literal product phi*psi
-    (``verify_matrix_factorization``); the generic identity of a slot row
-    (``slot_residuals``) with a form set that fills the row; det(phi) = f
-    when psi is ``adjugate(phi)`` (the 3x3 families); or Pf(phi) = f when
-    psi is ``pfaffian_adjoint(phi)`` (phi_lambda and the six_gen pencil)."""
+    pair, by one of three certificates: the generic identity of a slot
+    row (``slot_residuals`` on its slot symbols) with a form set that
+    fills the row; det(phi) = f when psi is ``adjugate(phi)`` (the 3x3
+    families); or Pf(phi) = f when psi is ``pfaffian_adjoint(phi)``
+    (phi_lambda and the six_gen pencil).  ``slot_residuals`` on the pair
+    itself is the literal check of phi*psi = f*Id."""
 
     __slots__ = ("phi", "psi", "f")
 
@@ -434,23 +435,6 @@ def slot_residuals(phi, psi, f, symbols=None):
                                            nvars=phi.nvars)
     return ["[%d,%d] %s" % (i, j, diff.entries[i][j].format(symbols))
             for i in range(n) for j in range(n) if diff.entries[i][j]]
-
-
-def verify_matrix_factorization(phi, psi, f):
-    """Check phi*psi = psi*phi = f*Id exactly, by computing phi*psi alone.
-
-    For square factors and f != 0, phi*psi = f*Id gives det(phi)*det(psi)
-    = f^n != 0, so psi = f*phi^-1 over the fraction field and psi*phi =
-    f*Id follows.  f = 0 is refused, since there the implication fails
-    (phi = [[0,1],[0,0]], psi = [[1,0],[0,0]]).
-
-    Returns the MatrixFactorization, or raises MatrixError listing every
-    nonzero entry of phi*psi - f*Id.
-    """
-    residuals = slot_residuals(phi, psi, f)
-    if residuals:
-        raise MatrixError("phi*psi != f*Id: %s" % "; ".join(residuals))
-    return MatrixFactorization(phi, psi, f)
 
 
 # -- exact linear algebra over the coefficient field ---------------------------

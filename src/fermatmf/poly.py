@@ -221,15 +221,6 @@ class Polynomial(_Frozen):
     def is_constant(self):
         return not self.terms or set(self.terms) == {(0,) * self.nvars}
 
-    def is_homogeneous(self):
-        """(True, common degree) or (False, None); zero counts as (True, None)."""
-        if not self.terms:
-            return True, None
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) == 1:
-            return True, degrees.pop()
-        return False, None
-
     def linear_part(self):
         """The sum of the degree-1 terms (everything else dropped)."""
         return self._with_terms(

@@ -12,7 +12,6 @@ from fermatmf.equiv import (
     EquivalenceVerdict,
     enumerate_classes,
     linear_reduction,
-    matrix_equation_solvable,
     pairwise_distinctness,
     scalar_equivalence,
 )
@@ -255,51 +254,6 @@ def test_a_wide_singular_space_is_inconclusive():
     assert "21-parameter" in verdict.detail
 
 
-# -- bounded-degree matrix equations --------------------------------------------
-
-def _corner_blocks():
-    fs = building_blocks(F, SIGMA, *R)
-    xj, xs = x(SIGMA.j), x(SIGMA.s)
-    left = PolyMatrix(F, [[fs.w1, -fs.v2], [fs.w2, fs.v1]])
-    right = PolyMatrix(F, [[fs.v1, fs.v2], [-fs.w2, fs.w1]])
-    corner = PolyMatrix.identity(F, 2, scale=xj * xs)
-    return left, right, corner
-
-
-def test_the_corner_block_equation_is_unsolvable():
-    left, right, corner = _corner_blocks()
-    for bound in (1, 2):
-        ok, witness = matrix_equation_solvable(left, right, corner, bound)
-        assert not ok and witness is None
-
-
-def test_the_t1_block_equation_is_unsolvable():
-    fs = building_blocks(F, SIGMA, *R)
-    xs = x(SIGMA.s)
-    left = PolyMatrix(F, [[fs.w2, -fs.w1], [fs.v1, fs.v2]])
-    right = PolyMatrix(F, [[fs.w1, fs.v2pp], [-fs.w2 * fs.v2p, fs.v1]])
-    target = PolyMatrix(F, [[Polynomial.zero(F), xs],
-                            [xs * fs.v2p, Polynomial.zero(F)]])
-    for bound in (1, 2):
-        ok, witness = matrix_equation_solvable(left, right, target, bound)
-        assert not ok and witness is None
-
-
-def test_an_equation_with_target_w_is_solvable():
-    left, right, _ = _corner_blocks()
-    ok, witness = matrix_equation_solvable(left, right, left, 1)
-    assert ok
-    A, B = witness
-    assert left * A + B * right == left
-
-
-def test_matrix_equation_checks_dimensions():
-    left, right, _ = _corner_blocks()
-    bad = PolyMatrix(F, [[x(1)]])
-    with pytest.raises(MatrixError):
-        matrix_equation_solvable(left, right, bad, 1)
-
-
 # -- catalogs -------------------------------------------------------------------
 
 def test_the_three_generator_catalog_has_72_classes():
@@ -456,3 +410,16 @@ def test_distinct_family_members_are_separated():
     assert not any(item is M for item in held for M in mats)
 
 
+
+
+def test_the_sweep_refuses_a_matrix_with_a_unit_entry():
+    # B = A * [[1, x1], [0, 1]] is equivalent to A, yet the reductions of
+    # the pair differ; a unit entry voids the sweep's "no", so it refuses
+    one = Polynomial.constant(F, F(1))
+    zero = Polynomial.zero(F)
+    A = PolyMatrix(F, [[one, zero], [zero, x(1) ** 2]])
+    B = PolyMatrix(F, [[one, x(1)], [zero, x(1) ** 2]])
+    assert A * PolyMatrix(F, [[one, x(1)], [zero, one]]) == B
+    for reps in ([A, B], [B, A], [A]):
+        with pytest.raises(EquivError, match="not a minimal matrix"):
+            pairwise_distinctness(reps)

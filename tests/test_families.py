@@ -26,7 +26,6 @@ from fermatmf.families import (
 from fermatmf.equiv import enumerate_classes
 from fermatmf.field import omega_field, sextic_field, special_roots
 from fermatmf.matrix import (
-    MatrixError,
     MatrixFactorization,
     PolyMatrix,
     block,
@@ -34,7 +33,7 @@ from fermatmf.matrix import (
     format_one_line,
     pfaffian,
     pfaffian_adjoint,
-    verify_matrix_factorization,
+    slot_residuals,
 )
 from fermatmf.moduli6 import chart_transport
 from fermatmf.poly import Polynomial, fermat_cubic, fermat_cubic3, parse
@@ -51,8 +50,9 @@ Roots = namedtuple("Roots", "a b u")
 
 
 def literal(mf):
-    """The raising literal check phi*psi = f*Id of a built pair."""
-    return verify_matrix_factorization(mf.phi, mf.psi, mf.f)
+    """The built pair, once its literal product phi*psi = f*Id is checked."""
+    assert slot_residuals(mf.phi, mf.psi, mf.f) == []
+    return mf
 
 
 def x(i):
@@ -361,9 +361,8 @@ def test_omega_sign_correction_is_forced():
         rows = [list(row) for row in mf.psi.entries]
         rows[2][1] = -rows[2][1]
         uncorrected = PolyMatrix(F, rows)
-        with pytest.raises(MatrixError, match=r"^phi\*psi != f\*Id: "
-                           r"\[0,1\] [^;]*; \[2,1\] [^;]*$"):
-            verify_matrix_factorization(mf.phi, uncorrected, f)
+        residuals = slot_residuals(mf.phi, uncorrected, f)
+        assert [r.split(" ")[0] for r in residuals] == ["[0,1]", "[2,1]"]
 
 
 # -- the 6x6 pencil --------------------------------------------------------------
@@ -469,7 +468,7 @@ def test_five_points_data():
     assert len(quadrics) == 5 and len(points) == 5
     assert points[0].coords == tuple(F(c) for c in (-1, 0, 0, 1))
     for q in quadrics:
-        assert q.is_homogeneous() == (True, 2)
+        assert {sum(e) for e in q.terms} == {2}
         for p in points:
             assert q.eval(p.coords) == 0
 
@@ -490,6 +489,17 @@ def test_family_id_round_trip_and_build():
     unnorm = FamilyId.parse(F, "mu:sigma=234,a=-1,b=-1,u=w,normalized=0")
     assert "normalized=0" in str(unnorm)
     literal(unnorm.build())
+
+
+def test_family_id_params_are_read_only():
+    text = "phi_t_sigma:t=1,sigma=234,a=-1,b=-w,u=w"
+    fid = FamilyId.parse(F, text)
+    held = {fid}
+    with pytest.raises(TypeError):
+        fid.params["t"] = 2
+    with pytest.raises(TypeError):
+        del fid.params["u"]
+    assert str(fid) == text and fid in held
 
 
 def test_family_id_errors():

@@ -20,7 +20,6 @@ from fermatmf.matrix import (
     pfaffian_adjoint,
     pfaffian_vector,
     slot_residuals,
-    verify_matrix_factorization,
 )
 from fermatmf.poly import Polynomial, parse
 
@@ -233,19 +232,15 @@ def test_matrix_products_and_transpose():
 
 
 def test_verify_matrix_factorization_success_and_failure():
-    # an honest 2x2 example: phi * adj(phi) = det(phi) Id
+    # slot_residuals is the literal check phi*psi = f*Id; an honest 2x2
+    # example: phi * adj(phi) = det(phi) Id
     phi = PolyMatrix(F, [[x(1), -x(2)], [x(2) ** 2, x(1) ** 2]])
     psi = adjugate(phi)
     d = determinant(phi)
-    result = verify_matrix_factorization(phi, psi, d)
-    assert (result.phi, result.psi, result.f) == (phi, psi, d)
-    assert result.size == 2
-    # now perturb one entry; the error names every residual entry, printed
-    # in x1..x4 as slot_residuals prints them
+    assert slot_residuals(phi, psi, d) == []
+    # now perturb one entry; every residual entry is named, in x1..x4
     bad = PolyMatrix(F, [[x(1), -x(2)], [x(2) ** 2, x(1) ** 2 + x(3)]])
-    with pytest.raises(MatrixError) as err:
-        verify_matrix_factorization(bad, psi, d)
-    assert str(err.value) == "phi*psi != f*Id: [1,0] -x2^2*x3; [1,1] x1*x3"
+    assert slot_residuals(bad, psi, d) == ["[1,0] -x2^2*x3", "[1,1] x1*x3"]
     # one product certifies only when f != 0: here phi*psi = 0 but psi*phi != 0
     one = Polynomial.constant(F, F(1))
     zero = Polynomial.zero(F)
@@ -253,7 +248,7 @@ def test_verify_matrix_factorization_success_and_failure():
     proj = PolyMatrix(F, [[one, zero], [zero, zero]])
     assert nil * proj == PolyMatrix.identity(F, 2, scale=zero)
     with pytest.raises(MatrixError):
-        verify_matrix_factorization(nil, proj, zero)
+        slot_residuals(nil, proj, zero)
 
 
 def test_a_matrix_lives_in_the_ring_of_its_entries():

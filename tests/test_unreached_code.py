@@ -13,27 +13,23 @@ import fermatmf
 PACKAGE = pathlib.Path(fermatmf.__file__).parent
 BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
-# name -> the acceptance criterion, benchmark workload or ROADMAP item that
-# keeps a definition the package itself never calls
+# name -> the acceptance criterion, benchmark workload or test oracle that
+# keeps a definition the package itself never calls; a planned item keeps
+# nothing, so no reason cites the ROADMAP
 _KEPT = {
     "equiv.pairwise_distinctness":
         "acceptance criterion 04; benchmark workload sweep",
-    "equiv.matrix_equation_solvable":
-        "ROADMAP item 2 folds it into the equivalence engine",
     "families.five_points_example": "acceptance criterion 09",
     "field.FieldElement.value":
         "the moduli oracle _numeric in perfbench/workloads.py",
     "matrix.pfaffian_vector": "acceptance criterion 09",
-    "matrix.verify_matrix_factorization":
-        "the literal product phi*psi that tier-1 checks every catalog "
-        "listing against, independent of the slot-row certificates",
     "moduli6.equation_values":
         "acceptance criterion 06; benchmark workload moduli",
     "moduli6.chart_transport": "acceptance criterion 08",
     "moduli6.pfaffian_sign_flip": "acceptance criterion 10",
     "moduli6.decompose_if_gamma_zero": "acceptance criterion 10",
-    "poly.Polynomial.eval": "ROADMAP item 7",
-    "poly.Polynomial.is_homogeneous": "ROADMAP items 2 and 7",
+    "poly.Polynomial.eval":
+        "acceptance criterion 09; the oracle of `restrict` in test_poly",
 }
 
 
@@ -73,6 +69,11 @@ def test_every_definition_is_referenced_or_kept():
                 unreferenced.add(qualname)
     # a kept name that the package now calls should leave the table too
     assert sorted(unreferenced) == sorted(_KEPT)
+
+
+def test_no_definition_is_kept_for_a_planned_item():
+    assert [name for name, reason in _KEPT.items()
+            if "ROADMAP" in reason] == []
 
 
 # "name(parameter)" -> the consumer that keeps an optional parameter which
